@@ -22,7 +22,6 @@ from .dice import (
     dice_set,
     dominance,
     face_wins,
-    face_wins_fast,
     guaranteed_wins_audit,
     is_balanced,
     matchup,
@@ -71,7 +70,6 @@ __all__ = [
     "dominance",
     "even_rounds",
     "face_wins",
-    "face_wins_fast",
     "from_edges",
     "guaranteed_wins_audit",
     "is_balanced",

@@ -160,7 +160,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     factor = sub.add_parser("factor", help="print the round/column edge partition of K_n")
-    factor.add_argument("--n", type=int, required=True)
+    factor.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help="odd n >= 3 or n = 2 (mod 4); n = 1 and n = 0 (mod 4) exit 2 (build accepts them)",
+    )
     factor.add_argument("--format", choices=["json", "table"], default="json")
     factor.add_argument("--output", "-o", default="-")
     factor.set_defaults(func=_cmd_factor)

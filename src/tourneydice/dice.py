@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateLabelError,
@@ -56,6 +55,8 @@ def dice_set(faces: Iterable[Sequence[int]]) -> DiceSet:
     for v, die in enumerate(frozen, start=1):
         if len(die) != sides:
             raise SideCountMismatchError(f"die {v} has {len(die)} sides, expected {sides}")
+    if not sides:
+        raise ParseError("dice need at least one side")
     labels = [x for die in frozen for x in die]
     for x in labels:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
@@ -73,15 +74,6 @@ class Matchup:
     wins_b: int
     probability: Fraction  # chance that die a rolls the higher number
 
-    @property
-    def winner(self) -> int | None:
-        """1 if a wins the matchup, 2 if b does, None on a dead tie."""
-        if self.wins_a > self.wins_b:
-            return 1
-        if self.wins_b > self.wins_a:
-            return 2
-        return None
-
 
 def face_wins(a: Sequence[int], b: Sequence[int]) -> int:
     """Count ordered face pairs (x, y) with x from a, y from b, x > y.
@@ -90,12 +82,6 @@ def face_wins(a: Sequence[int], b: Sequence[int]) -> int:
     shares no code with the construction.
     """
     return sum(1 for x in a for y in b if x > y)
-
-
-def face_wins_fast(a: Sequence[int], b: Sequence[int]) -> int:
-    """Sort-and-bisect win counter, O(k log k); cross-checked against face_wins in tests."""
-    bs = sorted(b)
-    return sum(bisect_left(bs, x) for x in a)
 
 
 def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
@@ -110,18 +96,21 @@ def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
     return Matchup(wins_a, wins_b, Fraction(wins_a, len(a) * len(b)))
 
 
+def _pair_wins(d: DiceSet) -> Iterator[tuple[int, int, int, int]]:
+    """Revalidate d, then yield (i, j, wins_i, wins_j) by the oracle for every die pair i < j."""
+    dice_set(d.faces)  # distinct labels, equal nonzero side counts
+    for i, j in combinations(range(1, d.n + 1), 2):
+        a, b = d.faces[i - 1], d.faces[j - 1]
+        yield i, j, face_wins(a, b), face_wins(b, a)
+
+
 def dominance(d: DiceSet) -> Tournament:
     """Extract the tournament the dice realize: i -> j iff die i wins more than half the face pairs."""
-    dice_set(d.faces)  # revalidate: distinct labels, equal side counts
     edges = set()
-    for i, j in combinations(range(1, d.n + 1), 2):
-        m = matchup(d.faces[i - 1], d.faces[j - 1])
-        if m.winner == 1:
-            edges.add((i, j))
-        elif m.winner == 2:
-            edges.add((j, i))
-        else:
+    for i, j, wins_i, wins_j in _pair_wins(d):
+        if wins_i == wins_j:
             raise TieDetectedError(f"dice {i} and {j} tie at exactly 1/2")
+        edges.add((i, j) if wins_i > wins_j else (j, i))
     return Tournament(d.n, frozenset(edges))
 
 
@@ -226,30 +215,23 @@ class VerificationReport:
 
 def verify_realization(d: DiceSet, t: Tournament) -> VerificationReport:
     """Check every pair's matchup against t and the uniform-balance property."""
-    failures: list[str] = []
     if d.n != t.n:
         return VerificationReport(
             False, False, (), (f"dice count {d.n} != tournament size {t.n}",)
         )
-    dice_set(d.faces)
-    k = d.sides
     evidence = []
-    balance_ok = True
-    for i, j in combinations(range(1, d.n + 1), 2):
-        wins_i = face_wins(d.faces[i - 1], d.faces[j - 1])
-        wins_j = face_wins(d.faces[j - 1], d.faces[i - 1])
+    for i, j, wins_i, wins_j in _pair_wins(d):
         expected = i if t.beats(i, j) else j
-        actual_ok = (wins_i > wins_j) if expected == i else (wins_j > wins_i)
-        evidence.append(PairEvidence(i, j, expected, wins_i, wins_j, actual_ok))
-        if not actual_ok:
-            failures.append(
-                f"pair ({i},{j}): expected {expected} to win, face wins {wins_i}-{wins_j}"
-            )
-        # uniform balance: winner takes exactly (k^2+1)/2 face wins
-        if 2 * max(wins_i, wins_j) != k * k + 1:
-            balance_ok = False
-    realized = not failures
-    return VerificationReport(realized, balance_ok, tuple(evidence), tuple(failures))
+        ok = (wins_i > wins_j) if expected == i else (wins_j > wins_i)
+        evidence.append(PairEvidence(i, j, expected, wins_i, wins_j, ok))
+    failures = tuple(
+        f"pair ({e.i},{e.j}): expected {e.expected_winner} to win, face wins {e.wins_i}-{e.wins_j}"
+        for e in evidence
+        if not e.ok
+    )
+    k = d.sides  # uniform balance: winner takes exactly (k^2+1)/2 face wins
+    balance_ok = all(2 * max(e.wins_i, e.wins_j) == k * k + 1 for e in evidence)
+    return VerificationReport(not failures, balance_ok, tuple(evidence), failures)
 
 
 @dataclass(frozen=True)
@@ -269,14 +251,13 @@ class WinsAudit:
 def guaranteed_wins_audit(d: DiceSet, t: Tournament) -> WinsAudit:
     """Check that in every matchup the loser gets exactly (k^2-1)/2 face wins and the winner (k^2+1)/2."""
     k = d.sides
-    failures = []
-    for i, j in combinations(range(1, d.n + 1), 2):
-        winner, loser = (i, j) if t.beats(i, j) else (j, i)
-        w = face_wins(d.faces[winner - 1], d.faces[loser - 1])
-        l = face_wins(d.faces[loser - 1], d.faces[winner - 1])
+    report = verify_realization(d, t)
+    failures = [] if report.matchups else list(report.failures)  # size mismatch: no pair judged
+    for e in report.matchups:
+        w, l = (e.wins_i, e.wins_j) if e.expected_winner == e.i else (e.wins_j, e.wins_i)
         if 2 * w != k * k + 1 or 2 * l != k * k - 1:
             failures.append(
-                f"pair ({i},{j}): winner {winner} has {w} wins, loser has {l},"
+                f"pair ({e.i},{e.j}): winner {e.expected_winner} has {w} wins, loser has {l},"
                 f" expected {(k * k + 1) // 2} and {(k * k - 1) // 2}"
             )
     return WinsAudit(k, (k * k - 1) // 2, (k * k + 1) // 2, tuple(failures))
@@ -284,14 +265,8 @@ def guaranteed_wins_audit(d: DiceSet, t: Tournament) -> WinsAudit:
 
 def is_balanced(d: DiceSet) -> bool:
     """True iff every matchup is decided with probability exactly 1/2 + 1/(2k^2)."""
-    dice_set(d.faces)
     k = d.sides
-    target = Fraction(1, 2) + Fraction(1, 2 * k * k)
-    for a, b in combinations(d.faces, 2):
-        m = matchup(a, b)
-        if max(m.probability, 1 - m.probability) != target:
-            return False
-    return True
+    return all(2 * max(wins_i, wins_j) == k * k + 1 for _, _, wins_i, wins_j in _pair_wins(d))
 
 
 def compact_labels(d: DiceSet) -> DiceSet:
@@ -354,9 +329,8 @@ def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
         for cells in csv.reader(io.StringIO(text)):
             if not cells:
                 continue
-            try:
-                rows.append([int(c) for c in cells])
-            except ValueError as exc:
-                raise ParseError(f"non-integer face label in row {cells!r}") from exc
+            if not all(c.isascii() and c.isdigit() for c in cells):
+                raise ParseError(f"face labels must be plain ASCII digits, got row {cells!r}")
+            rows.append([int(c) for c in cells])
         return dice_set(rows)
     raise ValueError(f"unknown format {fmt!r}")

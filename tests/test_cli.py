@@ -167,6 +167,12 @@ class TestVerifyMatchupStats:
         assert code == 0
         assert "dice: 3" in out
 
+    @pytest.mark.parametrize("argv", [["stats"], ["matchup", "--pair", "1", "2"]])
+    def test_zero_sided_dice_rejected(self, run, argv):
+        code, out, err = run(argv, stdin=b'{"dice":[[],[]]}')
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
 
 def test_pipes_compose_for_all_kinds(run, tmp_path):
     """gen | build | verify succeeds for every kind and every n in 2..25."""

@@ -16,7 +16,6 @@ from tourneydice import (
     dice_set,
     dominance,
     face_wins,
-    face_wins_fast,
     from_edges,
     guaranteed_wins_audit,
     is_balanced,
@@ -58,13 +57,6 @@ class TestFaceWins:
     def test_single_faces(self):
         assert face_wins([2], [1]) == 1
         assert face_wins([1], [2]) == 0
-
-    @given(
-        a=st.lists(st.integers(-100, 100), min_size=1, max_size=30),
-        b=st.lists(st.integers(-100, 100), min_size=1, max_size=30),
-    )
-    def test_fast_counter_matches_oracle(self, a, b):
-        assert face_wins_fast(a, b) == face_wins(a, b)
 
     @given(labels=st.sets(st.integers(1, 10**6), min_size=2, max_size=40))
     def test_disjoint_dice_split_all_pairs(self, labels):
@@ -122,6 +114,10 @@ class TestDiceSetValidation:
     def test_nonpositive_label(self):
         with pytest.raises(ParseError):
             dice_set([[0], [1]])
+
+    def test_zero_sided_dice(self):
+        with pytest.raises(ParseError):
+            dice_set([[], []])
 
 
 class TestBuildOdd:
@@ -259,6 +255,11 @@ class TestAuditsAndBalance:
         tampered = dice_set(faces)
         assert not guaranteed_wins_audit(tampered, t).ok
 
+    @pytest.mark.parametrize("dice_n,tournament_n", [(3, 5), (5, 3)])
+    def test_audit_size_mismatch(self, dice_n, tournament_n):
+        audit = guaranteed_wins_audit(build_dice(transitive(dice_n)), transitive(tournament_n))
+        assert audit.failures == (f"dice count {dice_n} != tournament size {tournament_n}",)
+
     def test_builds_are_balanced(self):
         for n in (1, 2, 3, 4, 6, 7, 9):
             assert is_balanced(build_dice(random_tournament(n, 5)))
@@ -336,5 +337,6 @@ class TestDiceFormats:
         assert parse_dice(b"1,5,9\n3,4,8\n2,6,7\n", "csv") == EQ1
 
     def test_parse_csv_bad_cell(self):
-        with pytest.raises(ParseError):
-            parse_dice(b"1,x\n2,3\n", "csv")
+        for cell in ("x", "\u0663", " 2 ", "+4"):  # only plain ASCII digits are labels
+            with pytest.raises(ParseError):
+                parse_dice(f"1,{cell}\n5,6\n".encode(), "csv")
