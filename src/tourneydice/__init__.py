@@ -10,10 +10,6 @@ verification.
 
 from .dice import (
     DiceSet,
-    Matchup,
-    PairEvidence,
-    VerificationReport,
-    WinsAudit,
     build_0mod4,
     build_dice,
     build_even_2mod4,
@@ -30,9 +26,7 @@ from .dice import (
     verify_realization,
 )
 from .factorization import (
-    LeftCount,
     OneFactorization,
-    PartitionReport,
     even_rounds,
     left_count,
     odd_rounds,
@@ -52,14 +46,8 @@ from .tournament import (
 
 __all__ = [
     "DiceSet",
-    "LeftCount",
-    "Matchup",
     "OneFactorization",
-    "PairEvidence",
-    "PartitionReport",
     "Tournament",
-    "VerificationReport",
-    "WinsAudit",
     "almost_transitive",
     "build_0mod4",
     "build_dice",

@@ -33,6 +33,8 @@ from .tournament import (
     transitive,
 )
 
+MAX_ERROR_CHARS = 200  # diagnostic length cap: a malformed input cell can be arbitrarily long
+
 
 def _read(path: str) -> bytes:
     if path == "-":
@@ -199,7 +201,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = " ".join(str(exc).split())  # one line, even if the error echoes input
+        if len(message) > MAX_ERROR_CHARS:
+            message = message[: MAX_ERROR_CHARS - 3] + "..."
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

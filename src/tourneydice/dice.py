@@ -25,7 +25,7 @@ from .errors import (
     SideCountMismatchError,
     TieDetectedError,
 )
-from .factorization import even_rounds, odd_rounds
+from .factorization import OneFactorization, even_rounds, odd_rounds
 from .tournament import Tournament
 
 Faces = tuple[int, ...]
@@ -120,8 +120,6 @@ def build_dice(t: Tournament) -> DiceSet:
     Side count by residue of n mod 4: odd n uses n sides, n = 2 (mod 4)
     uses n-1, n = 0 (mod 4) uses n+1.  Deterministic in t.
     """
-    if t.n == 1:
-        return DiceSet(((1,),))
     if t.n % 2 == 1:
         return build_odd(t)
     if t.n % 4 == 2:
@@ -129,48 +127,40 @@ def build_dice(t: Tournament) -> DiceSet:
     return build_0mod4(t)
 
 
-def build_odd(t: Tournament) -> DiceSet:
-    """Odd-n construction: n dice with n sides.
+def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
+    """Give column i the labels n(i-1)+1, n(i-1)+2, ... in the order of round i's slots.
 
-    Column i of die i gets the block's lowest label n(i-1)+1.  Every other
-    die v sits in some pair of round i at column j and gets n(i-1)+2j+1 if
-    it beats its partner, else n(i-1)+2j.
+    The slots are the vertex sitting the round out (odd n: vertex i sits
+    out round i), then each pair with the loser before the winner, so every
+    matched pair gets adjacent labels with the higher one on the winner.
     """
-    n = t.n
-    if n % 2 == 0:
-        raise ParityError(f"odd construction needs odd n, got {n}")
-    if n == 1:
+    n = f.n
+    columns = []
+    for i, row in enumerate(f.rounds, start=1):
+        order = [i] if n % 2 else []
+        for a, b in row:
+            order += (b, a) if t.beats(a, b) else (a, b)
+        column = [0] * n
+        for label, v in enumerate(order, start=n * (i - 1) + 1):
+            column[v - 1] = label
+        columns.append(column)
+    return DiceSet(tuple(zip(*columns)))
+
+
+def build_odd(t: Tournament) -> DiceSet:
+    """Odd-n construction: n dice with n sides, column i labelled by round i of :func:`odd_rounds`."""
+    if t.n % 2 == 0:
+        raise ParityError(f"odd construction needs odd n, got {t.n}")
+    if t.n == 1:
         return DiceSet(((1,),))
-    f = odd_rounds(n)
-    faces = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        base = n * (i - 1)
-        faces[i - 1][i - 1] = base + 1
-        for j, (a, b) in enumerate(f.rounds[i - 1], start=1):
-            hi, lo = (a, b) if t.beats(a, b) else (b, a)
-            faces[hi - 1][i - 1] = base + 2 * j + 1
-            faces[lo - 1][i - 1] = base + 2 * j
-    return DiceSet(tuple(tuple(row) for row in faces))
+    return _label_columns(t, odd_rounds(t.n))
 
 
 def build_even_2mod4(t: Tournament) -> DiceSet:
-    """n = 2 (mod 4) construction: n dice with n-1 sides.
-
-    Every die plays in every round, so column i of die v uses labels
-    n(i-1)+2j (win) or n(i-1)+2j-1 (loss) at v's column j.
-    """
-    n = t.n
-    if n % 4 != 2:
-        raise ParityError(f"this construction needs n = 2 (mod 4), got {n}")
-    f = even_rounds(n)
-    faces = [[0] * (n - 1) for _ in range(n)]
-    for i in range(1, n):
-        base = n * (i - 1)
-        for j, (a, b) in enumerate(f.rounds[i - 1], start=1):
-            hi, lo = (a, b) if t.beats(a, b) else (b, a)
-            faces[hi - 1][i - 1] = base + 2 * j
-            faces[lo - 1][i - 1] = base + 2 * j - 1
-    return DiceSet(tuple(tuple(row) for row in faces))
+    """n = 2 (mod 4) construction: n dice with n-1 sides, column i labelled by round i of :func:`even_rounds`."""
+    if t.n % 4 != 2:
+        raise ParityError(f"this construction needs n = 2 (mod 4), got {t.n}")
+    return _label_columns(t, even_rounds(t.n))
 
 
 def build_0mod4(t: Tournament) -> DiceSet:
@@ -307,7 +297,7 @@ def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
     if fmt == "json":
         try:
             obj = json.loads(data)
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
         if not isinstance(obj, dict) or "dice" not in obj:
             raise ParseError('expected an object with a "dice" list')
@@ -325,8 +315,12 @@ def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"CSV is not valid text: {exc}") from exc
+        try:
+            records = list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:  # e.g. a field over the reader's size limit
+            raise ParseError(f"bad CSV: {exc}") from exc
         rows = []
-        for cells in csv.reader(io.StringIO(text)):
+        for cells in records:
             if not cells:
                 continue
             if not all(c.isascii() and c.isdigit() for c in cells):

@@ -25,12 +25,12 @@ class OneFactorization:
     """Rounds of vertex pairs; ``rounds[i-1][j-1]`` is the pair in column j of round i."""
 
     n: int
-    parity: str  # "odd" or "even"
     rounds: tuple[tuple[Pair, ...], ...]
 
     @property
-    def pairs_per_round(self) -> int:
-        return len(self.rounds[0]) if self.rounds else 0
+    def parity(self) -> str:
+        """``"odd"`` or ``"even"``, from n."""
+        return "odd" if self.n % 2 else "even"
 
     @cached_property
     def _columns(self) -> tuple[dict[int, int], ...]:
@@ -69,7 +69,7 @@ def odd_rounds(n: int) -> OneFactorization:
     for i in range(1, n + 1):
         row = tuple(_sorted_pair(_mod1(i + j, n), _mod1(i - j, n)) for j in range(1, k + 1))
         rounds.append(row)
-    return OneFactorization(n, "odd", tuple(rounds))
+    return OneFactorization(n, tuple(rounds))
 
 
 def even_rounds(n: int) -> OneFactorization:
@@ -89,7 +89,7 @@ def even_rounds(n: int) -> OneFactorization:
         for j in range((n + 6) // 4, n // 2 + 1):
             row.append(_sorted_pair(_mod1(i + j - 1, m), _mod1(i - j + 1, m)))
         rounds.append(tuple(row))
-    return OneFactorization(n, "even", tuple(rounds))
+    return OneFactorization(n, tuple(rounds))
 
 
 def position_of(f: OneFactorization, round_index: int, vertex: int) -> int | None:
@@ -183,8 +183,9 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
         failures.extend(bad_presence)
 
         middle = (f.n + 2) // 4
+        width = len(f.rounds[0]) if f.rounds else 0
         bad_columns = []
-        for j in range(1, f.pairs_per_round + 1):
+        for j in range(1, width + 1):
             if j == middle:
                 continue
             occurrence = Counter(v for row in f.rounds for v in row[j - 1])

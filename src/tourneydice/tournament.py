@@ -6,7 +6,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     DuplicateEdgeError,
@@ -73,21 +73,24 @@ def from_edges(n: int, beats: Iterable[Edge]) -> Tournament:
     return Tournament(n, frozenset(edges))
 
 
-def transitive(n: int) -> Tournament:
-    """The transitive tournament: i -> j whenever i < j."""
+def _oriented(n: int, keep: Callable[[int, int], object]) -> Tournament:
+    """Orient every pair i < j, in lexicographic order: i -> j where keep(i, j) is true, else j -> i."""
     if n < 1:
         raise VertexOutOfRangeError(f"n must be positive, got {n}")
-    return Tournament(n, frozenset((i, j) for i, j in combinations(range(1, n + 1), 2)))
+    pairs = combinations(range(1, n + 1), 2)
+    return Tournament(n, frozenset((i, j) if keep(i, j) else (j, i) for i, j in pairs))
+
+
+def transitive(n: int) -> Tournament:
+    """The transitive tournament: i -> j whenever i < j."""
+    return _oriented(n, lambda i, j: True)
 
 
 def almost_transitive(n: int) -> Tournament:
     """Transitive except that vertex n beats vertex 1."""
     if n < 3:
         raise NTooSmallError(f"almost-transitive needs n >= 3, got {n}")
-    edges = {(i, j) for i, j in combinations(range(1, n + 1), 2)}
-    edges.remove((1, n))
-    edges.add((n, 1))
-    return Tournament(n, frozenset(edges))
+    return _oriented(n, lambda i, j: i != 1 or j != n)
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -98,13 +101,8 @@ def random_tournament(n: int, seed: int) -> Tournament:
     bit keeps the orientation i -> j, a clear bit flips it.  Same (n, seed)
     always reproduces the same tournament.
     """
-    if n < 1:
-        raise VertexOutOfRangeError(f"n must be positive, got {n}")
     rng = random.Random(seed)
-    edges = set()
-    for i, j in combinations(range(1, n + 1), 2):
-        edges.add((i, j) if rng.getrandbits(1) else (j, i))
-    return Tournament(n, frozenset(edges))
+    return _oriented(n, lambda i, j: rng.getrandbits(1))
 
 
 def paley(p: int) -> Tournament:
@@ -114,10 +112,7 @@ def paley(p: int) -> Tournament:
     if p % 4 != 3:
         raise WrongResidueClassError(f"{p} is not 3 mod 4")
     residues = {(x * x) % p for x in range(1, p)}
-    edges = set()
-    for i, j in combinations(range(1, p + 1), 2):
-        edges.add((i, j) if (j - i) % p in residues else (j, i))
-    return Tournament(p, frozenset(edges))
+    return _oriented(p, lambda i, j: (j - i) % p in residues)
 
 
 def _is_prime(p: int) -> bool:
@@ -158,7 +153,7 @@ def parse_tournament(text: bytes, fmt: str = "json") -> Tournament:
 def _parse_json(text: bytes) -> Tournament:
     try:
         obj = json.loads(text)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "beats" not in obj:
         raise ParseError('expected an object with "n" and "beats"')

@@ -5,6 +5,7 @@ import json
 import types
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tourneydice import cli
 from tourneydice.tournament import parse_tournament, serialize_tournament, transitive
@@ -167,11 +168,40 @@ class TestVerifyMatchupStats:
         assert code == 0
         assert "dice: 3" in out
 
-    @pytest.mark.parametrize("argv", [["stats"], ["matchup", "--pair", "1", "2"]])
-    def test_zero_sided_dice_rejected(self, run, argv):
-        code, out, err = run(argv, stdin=b'{"dice":[[],[]]}')
+    @pytest.mark.parametrize(
+        "argv,data",
+        [
+            (["stats", "--dice"], b'{"dice":[[],[]]}'),
+            (["matchup", "--pair", "1", "2", "--dice"], b'{"dice":[[],[]]}'),
+            (["stats", "--dice"], b'{"dice":' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+            (["stats", "--dice"], b"[" * 200_000),
+            (["build", "-i"], b"[" * 200_000),
+            (["verify", "--tournament"], b'{"n":' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+        ],
+        ids=["zero_sided_stats", "zero_sided_matchup", "nested_dice_json", "nested_dice_csv",
+             "nested_matrix", "nested_tournament_json"],
+    )
+    def test_malformed_input_rejected(self, run, tmp_path, argv, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        stdin = b'{"n":3,"sides":3,"dice":[[1,5,9],[3,4,8],[2,6,7]]}'  # valid dice for verify
+        code, out, err = run([*argv, str(path)], stdin=stdin)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: ")
+        assert len(err) <= len("error: \n") + cli.MAX_ERROR_CHARS
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=300))
+def test_arbitrary_bytes_exit_cleanly(run, tmp_path, data):
+    """Any input ends in exit 0, 1 or 2 with at most one bounded stderr line."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    for argv in (["build"], ["stats"], ["matchup", "--pair", "1", "2"],
+                 ["verify", "--tournament", str(path)]):
+        code, _, err = run(argv, stdin=data)
+        assert code in (0, 1, 2), argv
+        assert err.count("\n") <= 1 and len(err) <= len("error: \n") + cli.MAX_ERROR_CHARS, argv
 
 
 def test_pipes_compose_for_all_kinds(run, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for dice construction, the face-win oracle, and verification."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -225,6 +226,15 @@ class TestBuildDice:
         d = build_dice(random_tournament(n, 8))
         labels = sorted(x for die in d.faces for x in die)
         assert labels == list(range(1, d.n * d.sides + 1))
+
+    def test_exact_labels_pinned(self):
+        # exact labels for n = 1..40: all four residues mod 4 and the one-die case
+        blob = b"".join(
+            serialize_dice(build_dice(random_tournament(n, n))) + b"\n" for n in range(1, 41)
+        )
+        assert hashlib.sha256(blob).hexdigest() == (
+            "f415065c8bfd006e147002dc7f761f8bcda2ffdef8964ef5a499248d9ef341d6"
+        )
 
 
 class TestAuditsAndBalance:

@@ -134,7 +134,7 @@ class TestVerifyPartition:
         f = odd_rounds(7)
         rounds = [list(row) for row in f.rounds]
         rounds[0][0] = (3, 7)  # was (2, 7): edge {3,7} now doubled, {2,7} missing
-        bad = OneFactorization(7, "odd", tuple(tuple(r) for r in rounds))
+        bad = OneFactorization(7, tuple(tuple(r) for r in rounds))
         report = verify_partition(bad)
         assert not report.ok
         assert not dict(report.checks)["edges_partitioned"]
@@ -143,9 +143,15 @@ class TestVerifyPartition:
         f = odd_rounds(7)
         rounds = [list(row) for row in f.rounds]
         rounds[0][0] = (3, 6)  # duplicates round 1's second pair
-        bad = OneFactorization(7, "odd", tuple(tuple(r) for r in rounds))
+        bad = OneFactorization(7, tuple(tuple(r) for r in rounds))
         report = verify_partition(bad)
         assert not dict(report.checks)["rounds_are_matchings"]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_no_rounds_fails_partition(self, n):
+        report = verify_partition(OneFactorization(n, ()))
+        assert not report.ok
+        assert report.parity == ("odd" if n % 2 else "even")
 
 
 class TestLeftCount:
