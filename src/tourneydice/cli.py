@@ -34,6 +34,7 @@ from .tournament import (
 )
 
 MAX_ERROR_CHARS = 200  # diagnostic length cap: a malformed input cell can be arbitrarily long
+MAX_N = 2000  # gen/factor refuse larger n before allocating: K_n has n(n-1)/2 pairs
 
 
 def _read(path: str) -> bytes:
@@ -64,6 +65,8 @@ def _load_dice(path: str) -> DiceSet:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.n > MAX_N:
+        raise ValueError(f"n = {args.n} is over the limit of {MAX_N}")
     if args.kind == "transitive":
         t = transitive(args.n)
     elif args.kind == "almost-transitive":
@@ -85,6 +88,8 @@ def _format_rounds_table(f: OneFactorization) -> str:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    if args.n > MAX_N:
+        raise ValueError(f"n = {args.n} is over the limit of {MAX_N}")
     f = odd_rounds(args.n) if args.n % 2 == 1 else even_rounds(args.n)
     if args.format == "json":
         payload = {
@@ -108,6 +113,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.dice == args.tournament == "-":
+        raise ValueError("--dice and --tournament cannot both read stdin")
     d = _load_dice(args.dice)
     t = _load_tournament(args.tournament)
     report = verify_realization(d, t)
@@ -155,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["transitive", "almost-transitive", "random", "paley"],
         default="random",
     )
-    gen.add_argument("--n", type=int, required=True, help="vertex count (prime p for paley)")
+    gen.add_argument("--n", type=int, required=True, help=f"vertex count <= {MAX_N}, prime for paley")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--format", choices=["json", "matrix"], default="json")
     gen.add_argument("--output", "-o", default="-")
@@ -166,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n",
         type=int,
         required=True,
-        help="odd n >= 3 or n = 2 (mod 4); n = 1 and n = 0 (mod 4) exit 2 (build accepts them)",
+        help=f"odd n >= 3 or n = 2 (mod 4), at most {MAX_N}; n = 1 and n = 0 (mod 4) exit 2 "
+        "(build accepts them)",
     )
     factor.add_argument("--format", choices=["json", "table"], default="json")
     factor.add_argument("--output", "-o", default="-")

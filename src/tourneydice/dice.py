@@ -305,10 +305,11 @@ def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ParseError('"dice" must be a list of face lists')
         d = dice_set(rows)
-        if "n" in obj and obj["n"] != d.n:
-            raise ParseError(f'"n" is {obj["n"]} but {d.n} dice given')
-        if "sides" in obj and obj["sides"] != d.sides:
-            raise ParseError(f'"sides" is {obj["sides"]} but dice have {d.sides} faces')
+        n, sides = obj.get("n", d.n), obj.get("sides", d.sides)
+        if type(n) is not int or n != d.n:  # plain int: true and 1.0 are not 1
+            raise ParseError(f'"n" is {n} but {d.n} dice given')
+        if type(sides) is not int or sides != d.sides:
+            raise ParseError(f'"sides" is {sides} but dice have {d.sides} faces')
         return d
     if fmt == "csv":
         try:

@@ -1,9 +1,10 @@
 """Ordered edge partitions of K_n: the round/column scaffold the dice construction reads.
 
-Rounds are matchings of K_n arranged in a fixed column order.  For odd n
-there are n rounds of (n-1)/2 pairs and each vertex sits out exactly its
-own round.  For n = 2 (mod 4) there are n-1 rounds of n/2 pairs, with the
-pair {i, n} relocated to the middle column of round i; that relocation is
+Rounds are matchings of K_n arranged in a fixed column order, all read
+off the circle method on an odd vertex count.  For odd n there are n
+rounds of (n-1)/2 pairs and each vertex sits out exactly its own round.
+For n = 2 (mod 4) the rounds are the odd rounds of K_(n-1): the vertex i
+that sits out round i is paired with n in the middle column, which is
 what makes the left/right counts come out symmetric for pairs involving n.
 """
 
@@ -51,45 +52,36 @@ class LeftCount(NamedTuple):
     ties: int
 
 
-def _mod1(x: int, m: int) -> int:
-    """Reduce x into the range 1..m."""
-    return (x - 1) % m + 1
-
-
-def _sorted_pair(a: int, b: int) -> Pair:
-    return (a, b) if a < b else (b, a)
+def _circle(m: int) -> tuple[tuple[Pair, ...], ...]:
+    """Circle method on K_m, odd m >= 1: round i pairs {i+j, i-j} mod m for j = 1..(m-1)/2."""
+    rounds = []
+    for i in range(1, m + 1):
+        row = []
+        for j in range(1, (m + 1) // 2):
+            a, b = (i + j - 1) % m + 1, (i - j - 1) % m + 1
+            row.append((a, b) if a < b else (b, a))
+        rounds.append(tuple(row))
+    return tuple(rounds)
 
 
 def odd_rounds(n: int) -> OneFactorization:
     """Round i pairs up {i+j, i-j} mod n for j = 1..(n-1)/2; vertex i sits out."""
     if n < 3 or n % 2 == 0:
         raise ParityError(f"odd construction needs odd n >= 3, got {n}")
-    k = (n - 1) // 2
-    rounds = []
-    for i in range(1, n + 1):
-        row = tuple(_sorted_pair(_mod1(i + j, n), _mod1(i - j, n)) for j in range(1, k + 1))
-        rounds.append(row)
-    return OneFactorization(n, tuple(rounds))
+    return OneFactorization(n, _circle(n))
 
 
 def even_rounds(n: int) -> OneFactorization:
-    """Rounds i = 1..n-1 with {i, n} moved into the middle column.
+    """The odd rounds of K_(n-1), with the vertex i that sits out round i paired with n.
 
-    Columns 1..(n-2)/4 hold {i+j, i-j} mod (n-1), column (n+2)/4 holds
-    {i, n}, and columns (n+6)/4..n/2 hold {i+j-1, i-j+1} mod (n-1).
+    The pair {i, n} goes into the middle column (n+2)/4 of round i; the
+    (n-2)/4 circle-method pairs before it and after it keep their order.
     """
     if n < 2 or n % 4 != 2:
         raise ParityError(f"even construction needs n = 2 (mod 4), got {n}")
-    m = n - 1
     lead = (n - 2) // 4
-    rounds = []
-    for i in range(1, n):
-        row = [_sorted_pair(_mod1(i + j, m), _mod1(i - j, m)) for j in range(1, lead + 1)]
-        row.append((i, n))
-        for j in range((n + 6) // 4, n // 2 + 1):
-            row.append(_sorted_pair(_mod1(i + j - 1, m), _mod1(i - j + 1, m)))
-        rounds.append(tuple(row))
-    return OneFactorization(n, tuple(rounds))
+    rows = enumerate(_circle(n - 1), start=1)
+    return OneFactorization(n, tuple(row[:lead] + ((i, n),) + row[lead:] for i, row in rows))
 
 
 def position_of(f: OneFactorization, round_index: int, vertex: int) -> int | None:
@@ -157,31 +149,25 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
     checks.append(("edges_partitioned", not bad_edges))
     failures.extend(bad_edges)
 
+    odd = f.parity == "odd"
+    vertices = set(range(1, f.n + 1))
     bad_rounds = []
+    bad_presence = []
     for i, row in enumerate(f.rounds, start=1):
         members = [v for pair in row for v in pair]
         if len(members) != len(set(members)):
             bad_rounds.append(f"round {i} is not a matching")
+        absent = vertices.difference(members)
+        if absent != ({i} if odd else set()):
+            suffix = f", expected [{i}]" if odd else ""
+            bad_presence.append(f"round {i} missing vertices {sorted(absent)}{suffix}")
     checks.append(("rounds_are_matchings", not bad_rounds))
     failures.extend(bad_rounds)
+    presence = "one_absence_per_round" if odd else "all_vertices_every_round"
+    checks.append((presence, not bad_presence))
+    failures.extend(bad_presence)
 
-    if f.parity == "odd":
-        bad_absences = []
-        for i, cols in enumerate(f._columns, start=1):
-            absent = set(range(1, f.n + 1)) - set(cols)
-            if absent != {i}:
-                bad_absences.append(f"round {i} missing vertices {sorted(absent)}, expected [{i}]")
-        checks.append(("one_absence_per_round", not bad_absences))
-        failures.extend(bad_absences)
-    else:
-        bad_presence = []
-        for i, cols in enumerate(f._columns, start=1):
-            absent = set(range(1, f.n + 1)) - set(cols)
-            if absent:
-                bad_presence.append(f"round {i} missing vertices {sorted(absent)}")
-        checks.append(("all_vertices_every_round", not bad_presence))
-        failures.extend(bad_presence)
-
+    if not odd:
         middle = (f.n + 2) // 4
         width = len(f.rounds[0]) if f.rounds else 0
         bad_columns = []

@@ -85,6 +85,26 @@ class TestFactor:
         assert "2 (mod 4)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "2001"],
+        ["gen", "--kind", "paley", "--n", "10007"],
+        ["factor", "--n", "2001"],
+    ],
+    ids=["gen", "gen_paley", "factor"],
+)
+def test_n_over_cap_rejected_before_allocating(run, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a generator ran for an n over the cap")
+
+    for name in ("random_tournament", "paley", "odd_rounds", "even_rounds"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: n = {argv[-1]} is over the limit of {cli.MAX_N}\n"
+
+
 class TestBuild:
     def test_stdin_to_json(self, run):
         stdin = serialize_tournament(transitive(5), "json")
@@ -140,6 +160,12 @@ class TestVerifyMatchupStats:
         assert "realized: no" in out
         assert "FAIL pair (1,3)" in out
         assert "4-5" in out  # both matchup counts for the offending pair
+
+    def test_verify_refuses_two_stdin_inputs(self, run):
+        stdin = b'{"n":3,"sides":3,"dice":[[1,5,9],[3,4,8],[2,6,7]]}'
+        code, out, err = run(["verify", "--tournament", "-"], stdin=stdin)
+        assert (code, out) == (2, "")
+        assert err == "error: --dice and --tournament cannot both read stdin\n"
 
     def test_matchup_eq1(self, run):
         stdin = b'{"n":3,"sides":3,"dice":[[1,5,9],[3,4,8],[2,6,7]]}'

@@ -340,8 +340,13 @@ class TestDiceFormats:
             parse_dice(b"[1,2,3]", "json")
 
     def test_parse_inconsistent_header(self):
-        with pytest.raises(ParseError):
-            parse_dice(b'{"n":3,"sides":1,"dice":[[1],[2]]}', "json")
+        for data in (
+            b'{"n":3,"sides":1,"dice":[[1],[2]]}',
+            b'{"dice":[[1,2]],"n":true}',  # header counts must be plain ints
+            b'{"dice":[[1,2]],"sides":2.0}',
+        ):
+            with pytest.raises(ParseError):
+                parse_dice(data, "json")
 
     def test_parse_csv(self):
         assert parse_dice(b"1,5,9\n3,4,8\n2,6,7\n", "csv") == EQ1

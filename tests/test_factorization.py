@@ -1,5 +1,6 @@
 """Tests for the round/column edge partitions of K_n."""
 
+import hashlib
 from collections import Counter
 from itertools import combinations
 
@@ -181,6 +182,34 @@ class TestLeftCount:
         f = even_rounds(n)
         for w, x in combinations(range(1, n + 1), 2):
             assert left_count(f, w, x) == ((n - 2) // 2, (n - 2) // 2, 1)
+
+
+def test_exact_rounds_pinned():
+    rounds = [odd_rounds(n).rounds for n in range(3, 102, 2)]
+    rounds += [even_rounds(n).rounds for n in range(2, 103, 4)]
+    digest = hashlib.sha256(repr(rounds).encode()).hexdigest()
+    assert digest == "2da5f4744afecfb8377b664a0d6917c4d9d66815da83d3d48ddc17a5e4dee631"
+
+
+def test_partition_failure_texts_pinned():
+    def bad(f, r, c, pair):
+        rows = [list(row) for row in f.rounds]
+        rows[r][c] = pair
+        return OneFactorization(f.n, tuple(tuple(row) for row in rows))
+
+    cases = [
+        bad(odd_rounds(7), 0, 0, (3, 6)),
+        bad(odd_rounds(7), 0, 0, (3, 7)),
+        bad(even_rounds(6), 0, 0, (3, 4)),
+        bad(even_rounds(10), 2, 1, (1, 2)),
+        OneFactorization(6, ()),
+        OneFactorization(7, ()),
+        OneFactorization(7, odd_rounds(7).rounds[:-1]),
+        OneFactorization(6, even_rounds(6).rounds + (((1, 2), (3, 4), (5, 6)),)),
+    ]
+    reports = [(r.n, r.parity, r.checks, r.failures) for r in map(verify_partition, cases)]
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == "f530a9036d3d8f96acf013a6c497c414a6932613aed8374d76e6fc76af3068d5"
 
 
 @pytest.mark.parametrize("n", list(range(3, 23, 2)))
