@@ -15,8 +15,9 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateLabelError,
@@ -44,6 +45,13 @@ class DiceSet:
     @property
     def sides(self) -> int:
         return len(self.faces[0]) if self.faces else 0
+
+    @cached_property
+    def _pair_wins(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Revalidate, then (i, j, wins_i, wins_j) by the oracle for every pair i < j; once per object."""
+        dice_set(self.faces)  # distinct labels, equal nonzero side counts; raises, caching nothing
+        pairs = combinations(enumerate(self.faces, start=1), 2)
+        return tuple((i, j, face_wins(a, b), face_wins(b, a)) for (i, a), (j, b) in pairs)
 
 
 def dice_set(faces: Iterable[Sequence[int]]) -> DiceSet:
@@ -88,6 +96,8 @@ def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
     """Exact win counts and probability for die a against die b."""
     if len(a) != len(b):
         raise SideCountMismatchError(f"side counts differ: {len(a)} vs {len(b)}")
+    if not a:
+        raise ParseError("dice need at least one side")
     shared = set(a) & set(b)
     if shared:
         raise DuplicateLabelError(f"dice share labels {sorted(shared)}")
@@ -96,18 +106,10 @@ def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
     return Matchup(wins_a, wins_b, Fraction(wins_a, len(a) * len(b)))
 
 
-def _pair_wins(d: DiceSet) -> Iterator[tuple[int, int, int, int]]:
-    """Revalidate d, then yield (i, j, wins_i, wins_j) by the oracle for every die pair i < j."""
-    dice_set(d.faces)  # distinct labels, equal nonzero side counts
-    for i, j in combinations(range(1, d.n + 1), 2):
-        a, b = d.faces[i - 1], d.faces[j - 1]
-        yield i, j, face_wins(a, b), face_wins(b, a)
-
-
 def dominance(d: DiceSet) -> Tournament:
     """Extract the tournament the dice realize: i -> j iff die i wins more than half the face pairs."""
     edges = set()
-    for i, j, wins_i, wins_j in _pair_wins(d):
+    for i, j, wins_i, wins_j in d._pair_wins:
         if wins_i == wins_j:
             raise TieDetectedError(f"dice {i} and {j} tie at exactly 1/2")
         edges.add((i, j) if wins_i > wins_j else (j, i))
@@ -210,7 +212,7 @@ def verify_realization(d: DiceSet, t: Tournament) -> VerificationReport:
             False, False, (), (f"dice count {d.n} != tournament size {t.n}",)
         )
     evidence = []
-    for i, j, wins_i, wins_j in _pair_wins(d):
+    for i, j, wins_i, wins_j in d._pair_wins:
         expected = i if t.beats(i, j) else j
         ok = (wins_i > wins_j) if expected == i else (wins_j > wins_i)
         evidence.append(PairEvidence(i, j, expected, wins_i, wins_j, ok))
@@ -239,7 +241,7 @@ class WinsAudit:
 
 
 def guaranteed_wins_audit(d: DiceSet, t: Tournament) -> WinsAudit:
-    """Check that in every matchup the loser gets exactly (k^2-1)/2 face wins and the winner (k^2+1)/2."""
+    """Check every winner gets exactly (k^2+1)/2 face wins and every loser (k^2-1)/2, from d's one cached sweep."""
     k = d.sides
     report = verify_realization(d, t)
     failures = [] if report.matchups else list(report.failures)  # size mismatch: no pair judged
@@ -256,7 +258,7 @@ def guaranteed_wins_audit(d: DiceSet, t: Tournament) -> WinsAudit:
 def is_balanced(d: DiceSet) -> bool:
     """True iff every matchup is decided with probability exactly 1/2 + 1/(2k^2)."""
     k = d.sides
-    return all(2 * max(wins_i, wins_j) == k * k + 1 for _, _, wins_i, wins_j in _pair_wins(d))
+    return all(2 * max(wins_i, wins_j) == k * k + 1 for _, _, wins_i, wins_j in d._pair_wins)
 
 
 def compact_labels(d: DiceSet) -> DiceSet:
@@ -283,7 +285,7 @@ def serialize_dice(d: DiceSet, fmt: str = "json") -> bytes:
 
 def format_table(d: DiceSet) -> str:
     """Aligned text table, one die per row: ``X_1:  1 10 19 ...``."""
-    width = max(len(str(x)) for die in d.faces for x in die)
+    width = max((len(str(x)) for die in d.faces for x in die), default=0)
     name_width = len(f"X_{d.n}:")
     lines = []
     for v, die in enumerate(d.faces, start=1):

@@ -174,7 +174,7 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
         for j in range(1, width + 1):
             if j == middle:
                 continue
-            occurrence = Counter(v for row in f.rounds for v in row[j - 1])
+            occurrence = Counter(v for row in f.rounds if j <= len(row) for v in row[j - 1])
             for v in range(1, f.n):
                 if occurrence.get(v, 0) != 2:
                     bad_columns.append(

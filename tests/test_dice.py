@@ -7,7 +7,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+import tourneydice.dice
 from tourneydice import (
+    DiceSet,
     almost_transitive,
     build_0mod4,
     build_dice,
@@ -84,6 +86,10 @@ class TestMatchup:
     def test_shared_label(self):
         with pytest.raises(DuplicateLabelError):
             matchup([1, 2], [2, 3])
+
+    def test_zero_sided_dice(self):
+        with pytest.raises(ParseError, match="dice need at least one side"):
+            matchup((), ())
 
 
 class TestDominance:
@@ -281,6 +287,72 @@ class TestAuditsAndBalance:
         assert not is_balanced(dice_set([[1, 2], [3, 4]]))
 
 
+class TestSharedSweep:
+    """The whole-set checks share one oracle sweep per DiceSet object."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        oracle = tourneydice.dice.face_wins
+
+        def counting(a, b):
+            counted.append((a, b))
+            return oracle(a, b)
+
+        monkeypatch.setattr(tourneydice.dice, "face_wins", counting)
+        return counted
+
+    @staticmethod
+    def checks(t):
+        return (
+            lambda d: verify_realization(d, t),
+            dominance,
+            is_balanced,
+            lambda d: guaranteed_wins_audit(d, t),
+        )
+
+    def test_one_sweep_per_object(self, calls):
+        t = random_tournament(8, 3)
+        d = build_dice(t)
+        for _ in range(2):
+            for check in self.checks(t):
+                check(d)
+        assert len(calls) == 2 * 28
+        twin = DiceSet(d.faces)  # equal faces, new object: its own sweep
+        for check in self.checks(t):
+            check(twin)
+        assert len(calls) == 2 * 2 * 28
+
+    def test_invalid_set_raises_from_every_check_every_time(self, calls):
+        d = DiceSet(((1, 2), (2, 3)))
+        for _ in range(2):
+            for check in self.checks(transitive(2)):
+                with pytest.raises(DuplicateLabelError):
+                    check(d)
+        assert calls == []
+
+    def test_identity_unchanged_by_a_check(self):
+        d = build_dice(random_tournament(8, 3))
+        twin = DiceSet(d.faces)
+        before = (hash(d), repr(d))
+        for check in self.checks(random_tournament(8, 3)):
+            check(d)
+        assert (hash(d), repr(d)) == before
+        assert d == twin and twin == d and hash(twin) == hash(d)
+
+    def test_results_independent_of_order_and_object(self):
+        t = random_tournament(9, 4)
+        faces = list(build_dice(t).faces)
+        faces[1], faces[6] = faces[6], faces[1]  # tamper: swap dice 2 and 7
+        d, other = DiceSet(tuple(faces)), DiceSet(tuple(faces))
+        checks = self.checks(t)
+        forward = [check(d) for check in checks]
+        backward = [check(other) for check in reversed(checks)][::-1]
+        fresh = [check(DiceSet(tuple(faces))) for check in checks]
+        assert forward == backward == fresh
+        assert not forward[0].realized and forward[1] != t and not forward[3].ok
+
+
 class TestVerifyRealization:
     def test_fig8_report(self):
         from tourneydice import DiceSet
@@ -334,6 +406,9 @@ class TestDiceFormats:
         table = serialize_dice(DiceSet(FIG8), "table").decode()
         assert "X_1:  1 10 19 27 35 40 45" in table
         assert "X_7:  2 11 20 28 32 37 43" in table
+
+    def test_table_of_no_dice(self):
+        assert serialize_dice(DiceSet(()), "table") == serialize_dice(DiceSet(()), "csv") == b""
 
     def test_parse_bad_json(self):
         with pytest.raises(ParseError):

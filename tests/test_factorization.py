@@ -212,6 +212,13 @@ def test_partition_failure_texts_pinned():
     assert digest == "f530a9036d3d8f96acf013a6c497c414a6932613aed8374d76e6fc76af3068d5"
 
 
+def test_partition_short_later_round_reported():
+    f = OneFactorization(6, even_rounds(6).rounds[:-1] + (((1, 2),),))
+    report = verify_partition(f)  # round 5 has no column 3: a failure, not an IndexError
+    assert ("twice_per_column", False) in report.checks
+    assert "vertex 3 appears 1 times in column 3, expected 2" in report.failures
+
+
 @pytest.mark.parametrize("n", list(range(3, 23, 2)))
 def test_odd_sweep_verify_partition(n):
     f = odd_rounds(n)
