@@ -30,7 +30,6 @@ from .factorization import (
     even_rounds,
     left_count,
     odd_rounds,
-    position_of,
     verify_partition,
 )
 from .tournament import (
@@ -67,7 +66,6 @@ __all__ = [
     "paley",
     "parse_dice",
     "parse_tournament",
-    "position_of",
     "random_tournament",
     "serialize_dice",
     "serialize_tournament",

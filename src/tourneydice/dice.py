@@ -27,7 +27,7 @@ from .errors import (
     TieDetectedError,
 )
 from .factorization import OneFactorization, even_rounds, odd_rounds
-from .tournament import Tournament
+from .tournament import Tournament, _oriented
 
 Faces = tuple[int, ...]
 
@@ -108,12 +108,12 @@ def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
 
 def dominance(d: DiceSet) -> Tournament:
     """Extract the tournament the dice realize: i -> j iff die i wins more than half the face pairs."""
-    edges = set()
+    first_wins = {}
     for i, j, wins_i, wins_j in d._pair_wins:
         if wins_i == wins_j:
             raise TieDetectedError(f"dice {i} and {j} tie at exactly 1/2")
-        edges.add((i, j) if wins_i > wins_j else (j, i))
-    return Tournament(d.n, frozenset(edges))
+        first_wins[i, j] = wins_i > wins_j
+    return _oriented(d.n, lambda i, j: first_wins[i, j])
 
 
 def build_dice(t: Tournament) -> DiceSet:
@@ -176,9 +176,7 @@ def build_0mod4(t: Tournament) -> DiceSet:
     n = t.n
     if n % 4 != 0:
         raise ParityError(f"this construction needs n = 0 (mod 4), got {n}")
-    augmented = Tournament(
-        n + 1, frozenset(t.edges | {(n + 1, v) for v in range(1, n + 1)})
-    )
+    augmented = _oriented(n + 1, lambda i, j: j <= n and t.beats(i, j))
     full = build_odd(augmented)
     return DiceSet(full.faces[:n])
 

@@ -84,15 +84,6 @@ def even_rounds(n: int) -> OneFactorization:
     return OneFactorization(n, tuple(row[:lead] + ((i, n),) + row[lead:] for i, row in rows))
 
 
-def position_of(f: OneFactorization, round_index: int, vertex: int) -> int | None:
-    """Column of ``vertex`` within the given round, or None if it sits the round out."""
-    if not 1 <= round_index <= len(f.rounds):
-        raise IndexError(f"round {round_index} out of range 1..{len(f.rounds)}")
-    if not 1 <= vertex <= f.n:
-        raise IndexError(f"vertex {vertex} out of range 1..{f.n}")
-    return f._columns[round_index - 1].get(vertex)
-
-
 def left_count(f: OneFactorization, w: int, x: int) -> LeftCount:
     """Over rounds containing both vertices, how often w's column is left of, right of, or equal to x's."""
     if w == x:

@@ -22,63 +22,77 @@ from .errors import (
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Tournament:
-    """A complete directed graph on the vertices 1..n.
+    """A complete directed graph on the vertices 1..n, as n bit rows.
 
-    ``edges`` holds one ordered pair (winner, loser) per vertex pair.
-    Instances are immutable; build them through :func:`from_edges` or one
-    of the generators, which enforce completeness.
+    Bit j-1 of ``rows[i-1]`` is set iff i beats j; ``edges`` is derived from
+    the rows.  Get instances from :func:`from_edges`, the generators or
+    :func:`parse_tournament`, which all yield complete, immutable tournaments.
     """
 
     n: int
-    edges: frozenset[Edge]
+    rows: tuple[int, ...]
 
     def beats(self, i: int, j: int) -> bool:
-        """True if the edge i -> j is present."""
-        return (i, j) in self.edges
-
-    def edge_list(self) -> list[Edge]:
-        """All edges, sorted lexicographically."""
-        return sorted(self.edges)
+        """True if i beats j; False for any vertex outside 1..n."""
+        return 0 < i <= self.n and 0 < j and self.rows[i - 1] >> (j - 1) & 1 == 1
 
     def out_degree(self, v: int) -> int:
-        return sum(1 for (a, _) in self.edges if a == v)
+        return self.rows[v - 1].bit_count() if 0 < v <= self.n else 0
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self._row_order())
+
+    def _row_order(self) -> list[Edge]:
+        """Every (winner, loser) pair in sorted order; bin(row)[:1:-1] is row's bits, lowest first."""
+        rows = enumerate(self.rows, start=1)
+        return [(i, j) for i, row in rows for j, bit in enumerate(bin(row)[:1:-1], start=1) if bit == "1"]
+
+    def __repr__(self) -> str:
+        """The sorted edge list; parametrized test ids in bench/test_checker.py are cut from this text."""
+        return f"Tournament(n={self.n}, edges={self._row_order()})"
 
 
 def from_edges(n: int, beats: Iterable[Edge]) -> Tournament:
     """Build a Tournament from an explicit edge list, validating completeness.
 
     Every unordered pair {i, j} must appear exactly once, in exactly one
-    direction.
+    direction.  Nothing of size n is allocated before the edges are complete.
     """
     if n < 1:
         raise VertexOutOfRangeError(f"n must be positive, got {n}")
-    edges: set[Edge] = set()
-    seen: set[Edge] = set()
+    forward: dict[Edge, bool] = {}  # (low, high) -> low beats high
     for i, j in beats:
         if i == j:
             raise SelfLoopError(f"self-loop at vertex {i}")
         if not (1 <= i <= n) or not (1 <= j <= n):
             raise VertexOutOfRangeError(f"edge ({i},{j}) outside 1..{n}")
         key = (i, j) if i < j else (j, i)
-        if key in seen:
+        if key in forward:
             raise DuplicateEdgeError(f"pair {{{key[0]},{key[1]}}} oriented twice")
-        seen.add(key)
-        edges.add((i, j))
-    if len(seen) != n * (n - 1) // 2:
-        for pair in combinations(range(1, n + 1), 2):
-            if pair not in seen:
-                raise MissingEdgeError(f"pair {{{pair[0]},{pair[1]}}} has no direction")
-    return Tournament(n, frozenset(edges))
+        forward[key] = i < j
+    if len(forward) != n * (n - 1) // 2:
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if (i, j) not in forward:
+                    raise MissingEdgeError(f"pair {{{i},{j}}} has no direction")
+    return _oriented(n, lambda i, j: forward[i, j])
 
 
 def _oriented(n: int, keep: Callable[[int, int], object]) -> Tournament:
     """Orient every pair i < j, in lexicographic order: i -> j where keep(i, j) is true, else j -> i."""
     if n < 1:
         raise VertexOutOfRangeError(f"n must be positive, got {n}")
-    pairs = combinations(range(1, n + 1), 2)
-    return Tournament(n, frozenset((i, j) if keep(i, j) else (j, i) for i, j in pairs))
+    bit = [1 << v for v in range(n)]
+    rows = [0] * n
+    for a, b in combinations(range(n), 2):  # 0-based: vertices a + 1 < b + 1
+        if keep(a + 1, b + 1):
+            rows[a] |= bit[b]
+        else:
+            rows[b] |= bit[a]
+    return Tournament(n, tuple(rows))
 
 
 def transitive(n: int) -> Tournament:
@@ -131,13 +145,10 @@ def _is_prime(p: int) -> bool:
 def serialize_tournament(t: Tournament, fmt: str = "json") -> bytes:
     """Encode a tournament as JSON or as a 0/1 adjacency matrix."""
     if fmt == "json":
-        payload = {"n": t.n, "beats": [list(e) for e in t.edge_list()]}
+        payload = {"n": t.n, "beats": [list(e) for e in t._row_order()]}
         return json.dumps(payload, separators=(",", ":")).encode("ascii")
     if fmt == "matrix":
-        rows = []
-        for r in range(1, t.n + 1):
-            rows.append(" ".join("1" if t.beats(r, c) else "0" for c in range(1, t.n + 1)))
-        return "\n".join(rows).encode("ascii")
+        return "\n".join(" ".join(f"{row:0{t.n}b}"[::-1]) for row in t.rows).encode("ascii")
     raise ValueError(f"unknown format {fmt!r}")
 
 

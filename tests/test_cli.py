@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -138,6 +143,23 @@ class TestBuild:
         code, _, err = run(["build"], stdin=b'{"n":3,"beats":[[1,2],[2,3]]}')
         assert code == 2
         assert "no direction" in err
+
+    @pytest.mark.parametrize("argv", [["build", "-i"], ["verify", "--tournament"]])
+    def test_declared_n_costs_nothing_beyond_listed_edges(self, tmp_path, argv):
+        """A tiny file declaring n = 10^9 is refused under a 1 GB address-space limit."""
+        path = tmp_path / "t.json"
+        path.write_bytes(b'{"n":1000000000,"beats":[[1,2]]}')
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "tourneydice.cli", *argv, str(path)],
+            input=b'{"n":3,"sides":3,"dice":[[1,5,9],[3,4,8],[2,6,7]]}',
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: pair {1,3} has no direction\n"
 
 
 class TestVerifyMatchupStats:

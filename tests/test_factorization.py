@@ -12,7 +12,6 @@ from tourneydice import (
     even_rounds,
     left_count,
     odd_rounds,
-    position_of,
     verify_partition,
 )
 from tourneydice.errors import ParityError
@@ -86,6 +85,7 @@ class TestEvenRounds:
         check_partition_brute_force(even_rounds(10))
 
     def test_middle_column_holds_vertex_n(self):
+        assert even_rounds(6).rounds[4][1] == (5, 6)
         for n in (2, 6, 10, 14):
             f = even_rounds(n)
             middle = (n + 2) // 4
@@ -100,25 +100,6 @@ class TestEvenRounds:
     def test_odd_n_rejected(self):
         with pytest.raises(ParityError):
             even_rounds(7)
-
-
-class TestPositionOf:
-    def test_odd_present(self):
-        assert position_of(odd_rounds(7), 2, 3) == 1
-
-    def test_odd_absent_in_own_round(self):
-        assert position_of(odd_rounds(7), 3, 3) is None
-
-    def test_even_vertex_n_in_middle(self):
-        assert position_of(even_rounds(6), 5, 6) == 2
-
-    def test_round_out_of_range(self):
-        with pytest.raises(IndexError):
-            position_of(odd_rounds(7), 8, 1)
-
-    def test_vertex_out_of_range(self):
-        with pytest.raises(IndexError):
-            position_of(odd_rounds(7), 1, 0)
 
 
 class TestVerifyPartition:

@@ -1,5 +1,7 @@
 """Tests for tournament construction, generators, and file formats."""
 
+import hashlib
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -214,4 +216,85 @@ class TestFormats:
 
 @given(n=st.integers(1, 14), seed=st.integers(0, 2**16))
 def test_random_tournaments_are_complete(n, seed):
-    assert_complete(random_tournament(n, seed))
+    t = random_tournament(n, seed)
+    assert_complete(t)
+    for v in range(1, n + 1):
+        assert not any(t.beats(v, w) or t.beats(w, v) for w in (0, n + 1))
+        assert t.out_degree(v) == sum(t.beats(v, j) for j in range(1, n + 1))
+    assert sum(t.out_degree(v) for v in range(1, n + 1)) == n * (n - 1) // 2
+
+
+def test_random_tournament_memory():
+    tracemalloc.start()
+    try:
+        t = random_tournament(500, 1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.n == 500 and held < 1_000_000
+
+
+def test_exact_formats_pinned():
+    # both wire formats, byte for byte, for every generator over a range of n
+    tournaments = [random_tournament(n, s) for n in range(1, 41) for s in (n, n + 1)]
+    tournaments += [transitive(n) for n in range(1, 41)]
+    tournaments += [almost_transitive(n) for n in range(3, 41)]
+    tournaments += [paley(p) for p in (3, 7, 11, 19, 23, 31, 43)]
+    blob = b"".join(
+        serialize_tournament(t, "json") + b"\n" + serialize_tournament(t, "matrix") + b"\n"
+        for t in tournaments
+    )
+    assert hashlib.sha256(blob).hexdigest() == (
+        "cbd04caee62b43928b8cf0376154f135c2655fa9fa61050f5e2652ccdc151151"
+    )
+
+
+MALFORMED = [
+    (from_edges, 0, []),
+    (from_edges, 3, [(1, 2), (2, 3)]),
+    (from_edges, 4, [(1, 2), (3, 4)]),  # five pairs missing: the first in order is named
+    (from_edges, 3, [(1, 1), (1, 5)]),  # self-loop before out-of-range
+    (from_edges, 3, [(1, 5), (1, 1)]),  # out-of-range before self-loop
+    (from_edges, 3, [(0, 1), (2, 3)]),
+    (from_edges, 3, [(2, 1), (1, 2), (2, 2)]),  # duplicate before self-loop
+    (from_edges, 3, [(1, 2), (2, 3), (1, 3), (3, 1), (3, 3)]),
+    (parse_tournament, b"0 2\n1 1", "matrix"),  # bad entry before diagonal
+    (parse_tournament, b"1 0\n1 0", "matrix"),  # diagonal before duplicate
+    (parse_tournament, b"0 1 1\n0 0 1\n0 1 0", "matrix"),
+    (parse_tournament, b"0 0 0\n0 0 0\n0 0 0", "matrix"),
+    (parse_tournament, b"0 1 1\n0 x\n", "matrix"),
+    (parse_tournament, b'{"n":3,"beats":[[3,4],[2,2]]}', "json"),
+    (parse_tournament, b'{"n":-1,"beats":[[1,2]]}', "json"),
+    (parse_tournament, b'{"n":3,"beats":[[1,2],[1,2,3]]}', "json"),
+    (parse_tournament, b'{"n":3000,"beats":[[1,2]]}', "json"),
+]
+
+MALFORMED_DIAGNOSTICS = [
+    ("VertexOutOfRangeError", "n must be positive, got 0"),
+    ("MissingEdgeError", "pair {1,3} has no direction"),
+    ("MissingEdgeError", "pair {1,3} has no direction"),
+    ("SelfLoopError", "self-loop at vertex 1"),
+    ("VertexOutOfRangeError", "edge (1,5) outside 1..3"),
+    ("VertexOutOfRangeError", "edge (0,1) outside 1..3"),
+    ("DuplicateEdgeError", "pair {1,2} oriented twice"),
+    ("DuplicateEdgeError", "pair {1,3} oriented twice"),
+    ("ParseError", "entry (1,2) is '2', expected 0 or 1"),
+    ("SelfLoopError", "self-loop at vertex 1"),
+    ("DuplicateEdgeError", "pair {2,3} oriented twice"),
+    ("MissingEdgeError", "pair {1,2} has no direction"),
+    ("ParseError", "row 1 has 3 entries, expected 2"),
+    ("VertexOutOfRangeError", "edge (3,4) outside 1..3"),
+    ("VertexOutOfRangeError", "n must be positive, got -1"),
+    ("ParseError", "bad edge entry [1, 2, 3]"),
+    ("MissingEdgeError", "pair {1,3} has no direction"),
+]
+
+
+def test_malformed_diagnostics_pinned():
+    # exception type and message, so the order in which faults are found is pinned too
+    seen = []
+    for build, *args in MALFORMED:
+        with pytest.raises(ValueError) as info:
+            build(*args)
+        seen.append((type(info.value).__name__, str(info.value)))
+    assert seen == MALFORMED_DIAGNOSTICS
