@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -65,10 +65,11 @@ def dice_set(faces: Iterable[Sequence[int]]) -> DiceSet:
             raise SideCountMismatchError(f"die {v} has {len(die)} sides, expected {sides}")
     if not sides:
         raise ParseError("dice need at least one side")
-    labels = [x for die in frozen for x in die]
-    for x in labels:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ParseError(f"face label {x!r} is not a positive integer")
+    labels = list(chain.from_iterable(frozen))
+    if set(map(type, labels)) != {int} or min(labels) < 1:  # name the first bad label; int subclasses pass
+        for x in labels:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+                raise ParseError(f"face label {x!r} is not a positive integer")
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError("face labels are not pairwise distinct")
     return DiceSet(frozen)
@@ -261,8 +262,9 @@ def is_balanced(d: DiceSet) -> bool:
 
 def compact_labels(d: DiceSet) -> DiceSet:
     """Relabel faces with their ranks 1..n*k; order-preserving, so every matchup is unchanged."""
-    ranked = {x: r for r, x in enumerate(sorted(x for die in d.faces for x in die), start=1)}
-    return DiceSet(tuple(tuple(ranked[x] for x in die) for die in d.faces))
+    labels = sorted(chain.from_iterable(d.faces))
+    rank = dict(zip(labels, range(1, len(labels) + 1)))
+    return DiceSet(tuple(tuple(map(rank.__getitem__, die)) for die in d.faces))
 
 
 def serialize_dice(d: DiceSet, fmt: str = "json") -> bytes:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable
+from itertools import combinations, compress
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DuplicateEdgeError,
+    InvalidTournamentError,
     MissingEdgeError,
     NotPrimeError,
     NTooSmallError,
@@ -20,6 +21,8 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+
+_ONE = ord("1")  # a set cell of an n*n cell array; every other cell holds ord("0")
 
 
 @dataclass(frozen=True, repr=False)
@@ -58,41 +61,97 @@ class Tournament:
 def from_edges(n: int, beats: Iterable[Edge]) -> Tournament:
     """Build a Tournament from an explicit edge list, validating completeness.
 
-    Every unordered pair {i, j} must appear exactly once, in exactly one
-    direction.  Nothing of size n is allocated before the edges are complete.
+    ``n`` and every vertex must be a plain ``int`` (not ``bool`` or
+    ``float``); vertices lie in 1..n.  Every unordered pair {i, j} must
+    appear exactly once, in exactly one direction.  ``beats`` may be any
+    iterable of (winner, loser) pairs.  Faults are reported in edge order:
+    per edge a self-loop, then a vertex outside 1..n, then a repeated pair;
+    after the last edge, the first pair with no direction.  Nothing of size
+    n is allocated for fewer than n(n-1)/2 edges.
     """
+    if type(n) is not int:
+        raise VertexOutOfRangeError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise VertexOutOfRangeError(f"n must be positive, got {n}")
-    forward: dict[Edge, bool] = {}  # (low, high) -> low beats high
-    for i, j in beats:
+    edges = beats if isinstance(beats, (list, tuple)) else list(beats)
+    # n(n-1)/2 edges that orient every pair once repeat none; a shorter or longer list has a fault
+    t = _drawn(n, edges) if len(edges) == n * (n - 1) // 2 else None
+    if t is None:
+        raise _first_fault(n, edges)
+    return t
+
+
+def _drawn(n: int, edges: Sequence[Edge]) -> Tournament | None:
+    """The tournament the edges draw on 1..n, or None if they draw none.
+
+    None for an entry that is not a pair of plain ints in 1..n, or when a
+    vertex beats itself or a pair is not oriented exactly once.
+    """
+    cells, row = _blank(n)
+    try:
+        for i, j in edges:
+            if type(i) is not int or type(j) is not int or not (0 < i <= n and 0 < j <= n):
+                return None
+            cells[row[i] + j] = _ONE
+    except (TypeError, ValueError):  # an entry that does not unpack into two values
+        return None
+    return _checked(n, cells)
+
+
+def _first_fault(n: int, edges: Sequence[Edge]) -> InvalidTournamentError:
+    """The fault :func:`from_edges` reports for edges that are not one tournament on 1..n."""
+    seen: set[Edge] = set()
+    for i, j in edges:
         if i == j:
-            raise SelfLoopError(f"self-loop at vertex {i}")
+            return SelfLoopError(f"self-loop at vertex {i}")
+        if type(i) is not int or type(j) is not int:
+            return VertexOutOfRangeError(f"edge ({i!r},{j!r}) has a vertex that is not an integer")
         if not (1 <= i <= n) or not (1 <= j <= n):
-            raise VertexOutOfRangeError(f"edge ({i},{j}) outside 1..{n}")
+            return VertexOutOfRangeError(f"edge ({i},{j}) outside 1..{n}")
         key = (i, j) if i < j else (j, i)
-        if key in forward:
-            raise DuplicateEdgeError(f"pair {{{key[0]},{key[1]}}} oriented twice")
-        forward[key] = i < j
-    if len(forward) != n * (n - 1) // 2:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if (i, j) not in forward:
-                    raise MissingEdgeError(f"pair {{{i},{j}}} has no direction")
-    return _oriented(n, lambda i, j: forward[i, j])
+        if key in seen:
+            return DuplicateEdgeError(f"pair {{{key[0]},{key[1]}}} oriented twice")
+        seen.add(key)
+    # nested ranges, not combinations(), which would first hold all n vertices
+    i, j = next((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in seen)
+    return MissingEdgeError(f"pair {{{i},{j}}} has no direction")
+
+
+def _checked(n: int, cells: bytes | bytearray) -> Tournament | None:
+    """The tournament drawn in cells, or None if a vertex beats itself or a pair is not oriented exactly once."""
+    if _ONE in cells[:: n + 1]:
+        return None
+    rows = _bit_rows(n, cells)
+    columns = _bit_rows(n, b"".join([cells[c::n] for c in range(n)]))  # bit u-1 of columns[v-1]: u beats v
+    everyone = (1 << n) - 1  # row ^ column of v is everyone but v iff v meets each other vertex once
+    if any(row ^ column != everyone ^ (1 << v) for v, (row, column) in enumerate(zip(rows, columns))):
+        return None
+    return Tournament(n, rows)
+
+
+def _blank(n: int) -> tuple[bytearray, list[int]]:
+    """n*n unset cells, and offsets with ``row[i] + j`` the cell of i -> j.
+
+    ``row`` is a list, not a range, so that indexing it makes no new int.
+    """
+    return bytearray(b"0") * (n * n), list(range(-n - 1, n * n, n))
+
+
+def _bit_rows(n: int, cells: bytes | bytearray) -> tuple[int, ...]:
+    """The n bit rows of n*n cells in which cell (i-1)*n + j-1 is ``b"1"`` iff i beats j, else ``b"0"``."""
+    # a list, then tuple(): tuple() of a generator guesses a size and shrinks the result, and on
+    # CPython the shrunk small tuples pile up on per-size free lists, growing the heap call by call
+    return tuple([int(cells[r : r + n][::-1], 2) for r in range(0, n * n, n)])
 
 
 def _oriented(n: int, keep: Callable[[int, int], object]) -> Tournament:
     """Orient every pair i < j, in lexicographic order: i -> j where keep(i, j) is true, else j -> i."""
     if n < 1:
         raise VertexOutOfRangeError(f"n must be positive, got {n}")
-    bit = [1 << v for v in range(n)]
-    rows = [0] * n
-    for a, b in combinations(range(n), 2):  # 0-based: vertices a + 1 < b + 1
-        if keep(a + 1, b + 1):
-            rows[a] |= bit[b]
-        else:
-            rows[b] |= bit[a]
-    return Tournament(n, tuple(rows))
+    cells, row = _blank(n)
+    for i, j in combinations(range(1, n + 1), 2):
+        cells[row[i] + j if keep(i, j) else row[j] + i] = _ONE
+    return Tournament(n, _bit_rows(n, cells))
 
 
 def transitive(n: int) -> Tournament:
@@ -143,10 +202,15 @@ def _is_prime(p: int) -> bool:
 
 
 def serialize_tournament(t: Tournament, fmt: str = "json") -> bytes:
-    """Encode a tournament as JSON or as a 0/1 adjacency matrix."""
+    """Encode a tournament as JSON or as a 0/1 adjacency matrix, one row at a time."""
     if fmt == "json":
-        payload = {"n": t.n, "beats": [list(e) for e in t._row_order()]}
-        return json.dumps(payload, separators=(",", ":")).encode("ascii")
+        names = [str(j) for j in range(1, t.n + 1)]
+        beats = ",".join(  # row i: "[i,j],[i,k],..." for each j, k, ... that i beats, in order
+            f"[{i}," + f"],[{i},".join(compress(names, map("1".__eq__, bin(row)[:1:-1]))) + "]"
+            for i, row in enumerate(t.rows, start=1)
+            if row
+        )
+        return f'{{"n":{t.n},"beats":[{beats}]}}'.encode("ascii")
     if fmt == "matrix":
         return "\n".join(" ".join(f"{row:0{t.n}b}"[::-1]) for row in t.rows).encode("ascii")
     raise ValueError(f"unknown format {fmt!r}")
@@ -170,20 +234,14 @@ def _parse_json(text: bytes) -> Tournament:
         raise ParseError('expected an object with "n" and "beats"')
     n = obj["n"]
     beats = obj["beats"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if type(n) is not int:
         raise ParseError('"n" must be an integer')
-    if not isinstance(beats, list):
+    if type(beats) is not list:
         raise ParseError('"beats" must be a list of pairs')
-    edges = []
-    for entry in beats:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
-        ):
+    for entry in beats:  # json.loads gives exact types: bool and float are not int
+        if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not int or type(entry[1]) is not int:
             raise ParseError(f"bad edge entry {entry!r}")
-        edges.append((entry[0], entry[1]))
-    return from_edges(n, edges)
+    return from_edges(n, beats)
 
 
 def _parse_matrix(text: bytes) -> Tournament:
@@ -194,14 +252,18 @@ def _parse_matrix(text: bytes) -> Tournament:
     n = len(lines)
     if n == 0:
         raise ParseError("empty matrix")
-    edges = []
+    rows = []
     for r, line in enumerate(lines, start=1):
-        cells = line.split()
-        if len(cells) != n:
-            raise ParseError(f"row {r} has {len(cells)} entries, expected {n}")
-        for c, cell in enumerate(cells, start=1):
-            if cell not in ("0", "1"):
-                raise ParseError(f"entry ({r},{c}) is {cell!r}, expected 0 or 1")
-            if cell == "1":
-                edges.append((r, c))
-    return from_edges(n, edges)
+        entries = line.split()
+        if len(entries) != n:
+            raise ParseError(f"row {r} has {len(entries)} entries, expected {n}")
+        row = "".join(entries)
+        if len(row) != n or row.strip("01"):  # an entry longer than one character, or not 0/1
+            c, cell = next((c, cell) for c, cell in enumerate(entries, start=1) if cell not in ("0", "1"))
+            raise ParseError(f"entry ({r},{c}) is {cell!r}, expected 0 or 1")
+        rows.append(row)
+    cells = "".join(rows).encode("ascii")
+    t = _checked(n, cells)
+    if t is None:  # name the fault as for the matrix's edges in row-major order
+        raise _first_fault(n, [(k // n + 1, k % n + 1) for k, cell in enumerate(cells) if cell == _ONE])
+    return t

@@ -1,6 +1,7 @@
 """Tests for dice construction, the face-win oracle, and verification."""
 
 import hashlib
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 
@@ -125,6 +126,22 @@ class TestDiceSetValidation:
     def test_zero_sided_dice(self):
         with pytest.raises(ParseError):
             dice_set([[], []])
+
+    def test_int_subclass_label_accepted(self):
+        class Face(IntEnum):
+            FIVE = 5
+
+        assert dice_set([[Face.FIVE, 2], [3, 4]]).faces == ((5, 2), (3, 4))
+
+    @pytest.mark.parametrize("bad", [True, 2.0, 0, -1, "3"])
+    def test_bad_label_message(self, bad):
+        with pytest.raises(ParseError) as info:
+            dice_set([[5, 6], [7, bad]])
+        assert str(info.value) == f"face label {bad!r} is not a positive integer"
+
+    def test_first_bad_label_named(self):
+        with pytest.raises(ParseError, match=r"^face label 0 is"):
+            dice_set([[4, 0], [True, "3"]])
 
 
 class TestBuildOdd:

@@ -18,6 +18,7 @@ from tourneydice import (
 )
 from tourneydice.errors import (
     DuplicateEdgeError,
+    InvalidTournamentError,
     MissingEdgeError,
     NotPrimeError,
     NTooSmallError,
@@ -26,6 +27,7 @@ from tourneydice.errors import (
     VertexOutOfRangeError,
     WrongResidueClassError,
 )
+from tourneydice.tournament import _oriented
 
 FIG1_EDGES = [(1, 2), (2, 3), (3, 1)]
 
@@ -77,6 +79,25 @@ class TestFromEdges:
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRangeError):
             from_edges(2, [(1, 3)])
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(1.5, 2), (2, 3), (3, 1)], "edge (1.5,2) has a vertex that is not an integer"),
+            (2, [("1", 2)], "edge ('1',2) has a vertex that is not an integer"),
+            (2, [(1.0, 2.0)], "edge (1.0,2.0) has a vertex that is not an integer"),
+            (2, [(True, 2)], "edge (True,2) has a vertex that is not an integer"),
+            (3, [(1, 2), (2, 1.0), (3, 1)], "edge (2,1.0) has a vertex that is not an integer"),
+            (3, [(2, 2), (1.5, 2)], "self-loop at vertex 2"),  # checked at the range step, after self-loops
+            (2.5, [(1, 2)], "n must be an integer, got 2.5"),
+            (True, [], "n must be an integer, got True"),
+        ],
+        ids=["float", "str", "integral-float", "bool", "float-late", "self-loop-first", "float-n", "bool-n"],
+    )
+    def test_non_integer_refused(self, n, edges, message):
+        with pytest.raises(InvalidTournamentError) as info:
+            from_edges(n, edges)
+        assert str(info.value) == message
 
 
 class TestGenerators:
@@ -234,6 +255,28 @@ def test_random_tournament_memory():
     assert t.n == 500 and held < 1_000_000
 
 
+def peak_bytes(call):
+    """Tracemalloc peak while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "stage, fmt, bound_mb",
+    [(parse_tournament, "json", 100), (parse_tournament, "matrix", 70), (serialize_tournament, "json", 25)],
+    ids=["parse-json", "parse-matrix", "serialize-json"],
+)
+def test_format_peak_memory_n1000(stage, fmt, bound_mb):
+    # the formats go row by row: no list of n(n-1)/2 edges, no dict keyed by pair
+    t = random_tournament(1000, 1)
+    arg = serialize_tournament(t, fmt) if stage is parse_tournament else t
+    assert peak_bytes(lambda: stage(arg, fmt)) < bound_mb * 1_000_000
+
+
 def test_exact_formats_pinned():
     # both wire formats, byte for byte, for every generator over a range of n
     tournaments = [random_tournament(n, s) for n in range(1, 41) for s in (n, n + 1)]
@@ -298,3 +341,75 @@ def test_malformed_diagnostics_pinned():
             build(*args)
         seen.append((type(info.value).__name__, str(info.value)))
     assert seen == MALFORMED_DIAGNOSTICS
+
+
+def reference_from_edges(n, beats):
+    """from_edges as a walk over a dict keyed by pair; the reference for the cell-array version."""
+    if n < 1:
+        raise VertexOutOfRangeError(f"n must be positive, got {n}")
+    forward = {}  # (low, high) -> low beats high
+    for i, j in beats:
+        if i == j:
+            raise SelfLoopError(f"self-loop at vertex {i}")
+        if not (1 <= i <= n) or not (1 <= j <= n):
+            raise VertexOutOfRangeError(f"edge ({i},{j}) outside 1..{n}")
+        key = (i, j) if i < j else (j, i)
+        if key in forward:
+            raise DuplicateEdgeError(f"pair {{{key[0]},{key[1]}}} oriented twice")
+        forward[key] = i < j
+    if len(forward) != n * (n - 1) // 2:
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if (i, j) not in forward:
+                    raise MissingEdgeError(f"pair {{{i},{j}}} has no direction")
+    return _oriented(n, lambda i, j: forward[i, j])
+
+
+def _with_fault(data, n, edges, fault):
+    """edges with one fault of the given kind drawn into it, as an extra edge or in place of one.
+
+    Kinds that need an edge fall back to a self-loop.
+    """
+    if fault == "none":
+        return edges
+    if not edges and fault in ("duplicate", "reversed", "dropped"):
+        fault = "self_loop"
+    if fault == "dropped":
+        del edges[data.draw(st.integers(0, len(edges) - 1))]
+        return edges
+    if fault == "duplicate":
+        extra = data.draw(st.sampled_from(edges))
+    elif fault == "reversed":
+        extra = data.draw(st.sampled_from(edges))[::-1]
+    elif fault == "self_loop":
+        v = data.draw(st.integers(1, n))
+        extra = (v, v)
+    else:
+        outside = data.draw(st.sampled_from([0, -1, n + 1, 10**9]))
+        inside = data.draw(st.integers(1, n))
+        extra = data.draw(st.sampled_from([(outside, inside), (inside, outside)]))
+    if edges and data.draw(st.booleans()):  # keep n(n-1)/2 edges, so the fault passes the length check
+        edges[data.draw(st.integers(0, len(edges) - 1))] = extra
+    else:
+        edges.insert(data.draw(st.integers(0, len(edges))), extra)
+    return edges
+
+
+@pytest.mark.parametrize("fault", ["none", "duplicate", "reversed", "self_loop", "out_of_range", "dropped"])
+@given(
+    data=st.data(),
+    n=st.integers(1, 10),
+    container=st.sampled_from([list, tuple, lambda edges: (e for e in edges)]),
+)
+def test_from_edges_matches_dict_walk(fault, data, n, container):
+    flips = data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    complete = [(j, i) if flip else (i, j) for (i, j), flip in zip(combinations(range(1, n + 1), 2), flips)]
+    edges = _with_fault(data, n, data.draw(st.permutations(complete)), fault)
+
+    def outcome(build):
+        try:
+            return build(n, container(edges))
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(from_edges) == outcome(reference_from_edges)
