@@ -51,12 +51,12 @@ class DiceSet:
         """Revalidate, then (i, j, wins_i, wins_j) by the oracle for every pair i < j; once per object."""
         dice_set(self.faces)  # distinct labels, equal nonzero side counts; raises, caching nothing
         pairs = combinations(enumerate(self.faces, start=1), 2)
-        return tuple((i, j, face_wins(a, b), face_wins(b, a)) for (i, a), (j, b) in pairs)
+        return tuple([(i, j, face_wins(a, b), face_wins(b, a)) for (i, a), (j, b) in pairs])
 
 
 def dice_set(faces: Iterable[Sequence[int]]) -> DiceSet:
     """Validate raw face lists and freeze them into a DiceSet."""
-    frozen = tuple(tuple(die) for die in faces)
+    frozen = tuple([tuple(die) for die in faces])
     if not frozen:
         raise ParseError("a dice set needs at least one die")
     sides = len(frozen[0])
@@ -94,16 +94,13 @@ def face_wins(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
-    """Exact win counts and probability for die a against die b."""
-    if len(a) != len(b):
-        raise SideCountMismatchError(f"side counts differ: {len(a)} vs {len(b)}")
-    if not a:
-        raise ParseError("dice need at least one side")
-    shared = set(a) & set(b)
-    if shared:
-        raise DuplicateLabelError(f"dice share labels {sorted(shared)}")
-    wins_a = face_wins(a, b)
-    wins_b = face_wins(b, a)
+    """Exact win counts and probability for die a against die b.
+
+    The two-dice case of the oracle sweep: a and b are validated as a dice
+    set by :func:`dice_set`, so each must have the same nonzero number of
+    faces, and all labels must be distinct positive integers.
+    """
+    ((_, _, wins_a, wins_b),) = DiceSet((tuple(a), tuple(b)))._pair_wins
     return Matchup(wins_a, wins_b, Fraction(wins_a, len(a) * len(b)))
 
 
@@ -147,7 +144,7 @@ def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
         for label, v in enumerate(order, start=n * (i - 1) + 1):
             column[v - 1] = label
         columns.append(column)
-    return DiceSet(tuple(zip(*columns)))
+    return DiceSet(tuple(list(zip(*columns))))
 
 
 def build_odd(t: Tournament) -> DiceSet:
@@ -215,14 +212,12 @@ def verify_realization(d: DiceSet, t: Tournament) -> VerificationReport:
         expected = i if t.beats(i, j) else j
         ok = (wins_i > wins_j) if expected == i else (wins_j > wins_i)
         evidence.append(PairEvidence(i, j, expected, wins_i, wins_j, ok))
-    failures = tuple(
+    failures = tuple([
         f"pair ({e.i},{e.j}): expected {e.expected_winner} to win, face wins {e.wins_i}-{e.wins_j}"
         for e in evidence
         if not e.ok
-    )
-    k = d.sides  # uniform balance: winner takes exactly (k^2+1)/2 face wins
-    balance_ok = all(2 * max(e.wins_i, e.wins_j) == k * k + 1 for e in evidence)
-    return VerificationReport(not failures, balance_ok, tuple(evidence), failures)
+    ])
+    return VerificationReport(not failures, is_balanced(d), tuple(evidence), failures)
 
 
 @dataclass(frozen=True)
@@ -264,13 +259,13 @@ def compact_labels(d: DiceSet) -> DiceSet:
     """Relabel faces with their ranks 1..n*k; order-preserving, so every matchup is unchanged."""
     labels = sorted(chain.from_iterable(d.faces))
     rank = dict(zip(labels, range(1, len(labels) + 1)))
-    return DiceSet(tuple(tuple(map(rank.__getitem__, die)) for die in d.faces))
+    return DiceSet(tuple([tuple(list(map(rank.__getitem__, die))) for die in d.faces]))
 
 
 def serialize_dice(d: DiceSet, fmt: str = "json") -> bytes:
     """Encode a dice set as JSON, CSV (one row per die), or a readable table."""
     if fmt == "json":
-        payload = {"n": d.n, "sides": d.sides, "dice": [list(die) for die in d.faces]}
+        payload = {"n": d.n, "sides": d.sides, "dice": d.faces}
         return json.dumps(payload, separators=(",", ":")).encode("ascii")
     if fmt == "csv":
         buf = io.StringIO()

@@ -81,7 +81,7 @@ def even_rounds(n: int) -> OneFactorization:
         raise ParityError(f"even construction needs n = 2 (mod 4), got {n}")
     lead = (n - 2) // 4
     rows = enumerate(_circle(n - 1), start=1)
-    return OneFactorization(n, tuple(row[:lead] + ((i, n),) + row[lead:] for i, row in rows))
+    return OneFactorization(n, tuple([row[:lead] + ((i, n),) + row[lead:] for i, row in rows]))
 
 
 def left_count(f: OneFactorization, w: int, x: int) -> LeftCount:

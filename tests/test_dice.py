@@ -85,12 +85,25 @@ class TestMatchup:
             matchup([1, 2], [3])
 
     def test_shared_label(self):
-        with pytest.raises(DuplicateLabelError):
-            matchup([1, 2], [2, 3])
+        for a, b in (([1, 2], [2, 3]), ([1, 1], [2, 3])):  # across the dice, and within one die
+            with pytest.raises(DuplicateLabelError):
+                matchup(a, b)
 
     def test_zero_sided_dice(self):
-        with pytest.raises(ParseError, match="dice need at least one side"):
-            matchup((), ())
+        """Zero sides, and the labels dice_set refuses, are ParseErrors as in any dice set."""
+        not_positive = "is not a positive integer"
+        cases = [
+            ((), (), "dice need at least one side"),
+            ([0], [1], not_positive),
+            ([-1], [2], not_positive),
+            ([1.5], [2], not_positive),
+            ([True], [2], not_positive),
+            ([3], [1.0], not_positive),
+            (["3"], [1], not_positive),
+        ]
+        for a, b, message in cases:
+            with pytest.raises(ParseError, match=message):
+                matchup(a, b)
 
 
 class TestDominance:

@@ -310,6 +310,13 @@ MALFORMED = [
     (parse_tournament, b'{"n":-1,"beats":[[1,2]]}', "json"),
     (parse_tournament, b'{"n":3,"beats":[[1,2],[1,2,3]]}', "json"),
     (parse_tournament, b'{"n":3000,"beats":[[1,2]]}', "json"),
+    (parse_tournament, b'{"n":3,"beats":[[2,2],[1,2,3]]}', "json"),  # a bad entry outranks a self-loop
+    (parse_tournament, b'{"n":3,"beats":[[1,5],[1,2],[2,3],[1,3],5]}', "json"),
+    (parse_tournament, b'{"n":2,"beats":[[1,2],null]}', "json"),
+    (parse_tournament, b'{"n":3,"beats":["ab",[1,1]]}', "json"),
+    (parse_tournament, b'{"n":2,"beats":[[1.0,2]]}', "json"),
+    (parse_tournament, b'{"n":1000000000,"beats":[[1,2],[2,1],[true,2]]}', "json"),
+    (parse_tournament, b'{"n":3,"beats":[[1,2],[2,3],[3,1],{"a":1,"b":2}]}', "json"),
 ]
 
 MALFORMED_DIAGNOSTICS = [
@@ -330,6 +337,13 @@ MALFORMED_DIAGNOSTICS = [
     ("VertexOutOfRangeError", "n must be positive, got -1"),
     ("ParseError", "bad edge entry [1, 2, 3]"),
     ("MissingEdgeError", "pair {1,3} has no direction"),
+    ("ParseError", "bad edge entry [1, 2, 3]"),
+    ("ParseError", "bad edge entry 5"),
+    ("ParseError", "bad edge entry None"),
+    ("ParseError", "bad edge entry 'ab'"),
+    ("ParseError", "bad edge entry [1.0, 2]"),
+    ("ParseError", "bad edge entry [True, 2]"),
+    ("ParseError", "bad edge entry {'a': 1, 'b': 2}"),
 ]
 
 
