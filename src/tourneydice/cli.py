@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .dice import (
     DiceSet,
@@ -40,14 +39,16 @@ MAX_N = 2000  # gen/factor refuse larger n before allocating: K_n has n(n-1)/2 p
 def _read(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
+    with open(path, "rb") as file:
+        return file.read()
 
 
 def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text + "\n")
     else:
-        Path(path).write_text(text + "\n", encoding="ascii")
+        with open(path, "w", encoding="ascii") as file:
+            file.write(text + "\n")
 
 
 def _sniff(data: bytes) -> str:

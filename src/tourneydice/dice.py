@@ -10,14 +10,12 @@ so that single column decides the matchup.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateLabelError,
@@ -32,11 +30,28 @@ from .tournament import Tournament, _oriented
 Faces = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class DiceSet:
     """n dice with equal side counts; ``faces[v-1][i-1]`` is face i of die v."""
 
-    faces: tuple[Faces, ...]
+    def __init__(self, faces: tuple[Faces, ...]) -> None:
+        object.__setattr__(self, "faces", faces)
+
+    def __setattr__(self, name: str, value: object) -> None:  # cached_property writes __dict__ itself
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.faces == other.faces
+
+    def __hash__(self) -> int:
+        return hash((self.faces,))
+
+    def __repr__(self) -> str:
+        return f"DiceSet(faces={self.faces!r})"
 
     @property
     def n(self) -> int:
@@ -75,13 +90,11 @@ def dice_set(faces: Iterable[Sequence[int]]) -> DiceSet:
     return DiceSet(frozen)
 
 
-@dataclass(frozen=True)
-class Matchup:
+# probability: the chance that die a rolls the higher number, as a Fraction
+class Matchup(namedtuple("Matchup", "wins_a wins_b probability")):
     """Exact result of rolling die a against die b."""
 
-    wins_a: int
-    wins_b: int
-    probability: Fraction  # chance that die a rolls the higher number
+    __slots__ = ()
 
 
 def face_wins(a: Sequence[int], b: Sequence[int]) -> int:
@@ -100,6 +113,8 @@ def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
     set by :func:`dice_set`, so each must have the same nonzero number of
     faces, and all labels must be distinct positive integers.
     """
+    from fractions import Fraction  # loaded here, not at import: it also loads decimal
+
     ((_, _, wins_a, wins_b),) = DiceSet((tuple(a), tuple(b)))._pair_wins
     return Matchup(wins_a, wins_b, Fraction(wins_a, len(a) * len(b)))
 
@@ -179,26 +194,16 @@ def build_0mod4(t: Tournament) -> DiceSet:
     return DiceSet(full.faces[:n])
 
 
-@dataclass(frozen=True)
-class PairEvidence:
+class PairEvidence(namedtuple("PairEvidence", "i j expected_winner wins_i wins_j ok")):
     """Matchup outcome for one vertex pair, against the expected direction."""
 
-    i: int
-    j: int
-    expected_winner: int
-    wins_i: int
-    wins_j: int
-    ok: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "realized balance_ok matchups failures")):
     """Whether a dice set realizes a tournament, with per-pair evidence."""
 
-    realized: bool
-    balance_ok: bool
-    matchups: tuple[PairEvidence, ...]
-    failures: tuple[str, ...]
+    __slots__ = ()
 
 
 def verify_realization(d: DiceSet, t: Tournament) -> VerificationReport:
@@ -220,14 +225,10 @@ def verify_realization(d: DiceSet, t: Tournament) -> VerificationReport:
     return VerificationReport(not failures, is_balanced(d), tuple(evidence), failures)
 
 
-@dataclass(frozen=True)
-class WinsAudit:
+class WinsAudit(namedtuple("WinsAudit", "sides loser_wins winner_wins failures")):
     """Outcome of re-deriving the guaranteed-wins split via the oracle."""
 
-    sides: int
-    loser_wins: int
-    winner_wins: int
-    failures: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -259,6 +260,8 @@ def compact_labels(d: DiceSet) -> DiceSet:
     """Relabel faces with their ranks 1..n*k; order-preserving, so every matchup is unchanged."""
     labels = sorted(chain.from_iterable(d.faces))
     rank = dict(zip(labels, range(1, len(labels) + 1)))
+    if len(rank) != len(labels):  # a repeated label has no one rank
+        raise DuplicateLabelError("face labels are not pairwise distinct")
     return DiceSet(tuple([tuple(list(map(rank.__getitem__, die))) for die in d.faces]))
 
 
@@ -268,6 +271,8 @@ def serialize_dice(d: DiceSet, fmt: str = "json") -> bytes:
         payload = {"n": d.n, "sides": d.sides, "dice": d.faces}
         return json.dumps(payload, separators=(",", ":")).encode("ascii")
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         for die in d.faces:
@@ -309,6 +314,8 @@ def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
             raise ParseError(f'"sides" is {sides} but dice have {d.sides} faces')
         return d
     if fmt == "csv":
+        import csv
+
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -10,23 +10,38 @@ what makes the left/right counts come out symmetric for pairs involving n.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
 
 from .errors import ParityError
 
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class OneFactorization:
     """Rounds of vertex pairs; ``rounds[i-1][j-1]`` is the pair in column j of round i."""
 
-    n: int
-    rounds: tuple[tuple[Pair, ...], ...]
+    def __init__(self, n: int, rounds: tuple[tuple[Pair, ...], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rounds", rounds)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.rounds == other.rounds
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rounds))
+
+    def __repr__(self) -> str:
+        return f"OneFactorization(n={self.n!r}, rounds={self.rounds!r})"
 
     @property
     def parity(self) -> str:
@@ -46,10 +61,8 @@ class OneFactorization:
         return tuple(tables)
 
 
-class LeftCount(NamedTuple):
-    less: int
-    greater: int
-    ties: int
+class LeftCount(namedtuple("LeftCount", "less greater ties")):
+    __slots__ = ()
 
 
 def _circle(m: int) -> tuple[tuple[Pair, ...], ...]:
@@ -103,14 +116,10 @@ def left_count(f: OneFactorization, w: int, x: int) -> LeftCount:
     return LeftCount(less, greater, ties)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(namedtuple("PartitionReport", "n parity checks failures")):
     """Pass/fail evidence for the structural invariants of a factorization."""
 
-    n: int
-    parity: str
-    checks: tuple[tuple[str, bool], ...]
-    failures: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

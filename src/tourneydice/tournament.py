@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from itertools import combinations, compress
-from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -25,7 +23,6 @@ Edge = tuple[int, int]
 _ONE = ord("1")  # a set cell of an n*n cell array; every other cell holds ord("0")
 
 
-@dataclass(frozen=True, repr=False)
 class Tournament:
     """A complete directed graph on the vertices 1..n, as n bit rows.
 
@@ -34,8 +31,23 @@ class Tournament:
     :func:`parse_tournament`, which all yield complete, immutable tournaments.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
 
     def beats(self, i: int, j: int) -> bool:
         """True if i beats j; False for any vertex outside 1..n."""
@@ -174,6 +186,8 @@ def random_tournament(n: int, seed: int) -> Tournament:
     bit keeps the orientation i -> j, a clear bit flips it.  Same (n, seed)
     always reproduces the same tournament.
     """
+    import random  # loaded here, not at import: no other call needs it
+
     rng = random.Random(seed)
     return _oriented(n, lambda i, j: rng.getrandbits(1))
 

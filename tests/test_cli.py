@@ -16,6 +16,30 @@ from tourneydice import cli
 from tourneydice.tournament import parse_tournament, serialize_tournament, transitive
 
 
+def test_start_loads_no_module_a_command_does_not_need():
+    """A fresh ``import tourneydice.cli`` loads, besides the package, only what argparse and json load.
+
+    Run in a new interpreter, so that modules loaded by this test process do
+    not count and modules arriving through another import do.
+    """
+    code = (
+        "import sys; import argparse, json; before = set(sys.modules); import tourneydice.cli; "
+        "print(' '.join(sorted(sys.modules))); print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        check=True,
+        timeout=60,
+    )
+    loaded, added = (line.split() for line in proc.stdout.decode().splitlines())
+    slow = {"dataclasses", "inspect", "typing", "pathlib", "fractions", "decimal", "csv", "random"}
+    assert sorted(slow.intersection(loaded)) == []
+    # __future__ comes with ``from __future__ import annotations``; collections.abc is a re-export
+    assert {m for m in added if m.partition(".")[0] != "tourneydice"} <= {"__future__", "collections.abc"}
+
+
 @pytest.fixture
 def run(monkeypatch, capsys):
     """Run the CLI in-process; returns (exit code, stdout, stderr)."""
@@ -160,6 +184,22 @@ class TestBuild:
         )
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr == b"error: pair {1,3} has no direction\n"
+
+
+@pytest.mark.parametrize(
+    "argv,name,reason",
+    [
+        (["build", "-i"], "missing.json", "[Errno 2] No such file or directory"),
+        (["build", "-i"], "directory", "[Errno 21] Is a directory"),
+        (["gen", "--n", "3", "-o"], "missing/t.json", "[Errno 2] No such file or directory"),
+    ],
+    ids=["missing_input", "directory_input", "output_in_missing_directory"],
+)
+def test_file_errors_diagnosed(run, tmp_path, argv, name, reason):
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / name)
+    code, out, err = run([*argv, path])
+    assert (code, out, err) == (2, "", f"error: {reason}: {path!r}\n")
 
 
 class TestVerifyMatchupStats:

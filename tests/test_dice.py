@@ -383,6 +383,65 @@ class TestSharedSweep:
         assert not forward[0].realized and forward[1] != t and not forward[3].ok
 
 
+class TestValueTypes:
+    """What the value and report types keep: reprs, equality, hashing, read-only fields."""
+
+    @staticmethod
+    def tampered():
+        d = build_dice(transitive(3))  # ((1, 6, 9), (3, 4, 8), (2, 5, 7)), then dice 1 and 2 swapped
+        return DiceSet((d.faces[1], d.faces[0], d.faces[2]))
+
+    def test_reprs_pinned(self):
+        t = transitive(3)
+        cases = [
+            (EQ1, "DiceSet(faces=((1, 5, 9), (3, 4, 8), (2, 6, 7)))"),
+            (FIG1, "Tournament(n=3, edges=[(1, 2), (2, 3), (3, 1)])"),
+            (matchup([1, 5, 9], [3, 4, 8]), "Matchup(wins_a=5, wins_b=4, probability=Fraction(5, 9))"),
+            (
+                verify_realization(self.tampered(), t),
+                "VerificationReport(realized=False, balance_ok=True, matchups=("
+                "PairEvidence(i=1, j=2, expected_winner=1, wins_i=4, wins_j=5, ok=False), "
+                "PairEvidence(i=1, j=3, expected_winner=1, wins_i=5, wins_j=4, ok=True), "
+                "PairEvidence(i=2, j=3, expected_winner=2, wins_i=5, wins_j=4, ok=True)), "
+                "failures=('pair (1,2): expected 1 to win, face wins 4-5',))",
+            ),
+            (
+                guaranteed_wins_audit(self.tampered(), t),
+                "WinsAudit(sides=3, loser_wins=4, winner_wins=5, "
+                "failures=('pair (1,2): winner 1 has 4 wins, loser has 5, expected 5 and 4',))",
+            ),
+        ]
+        for value, text in cases:
+            assert repr(value) == text
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: dice_set([[1, 5, 9], [3, 4, 8], [2, 6, 7]]),
+            lambda: DiceSet(faces=((1, 5, 9), (3, 4, 8), (2, 6, 7))),
+            lambda: from_edges(3, [(1, 2), (2, 3), (3, 1)]),
+            lambda: matchup([1, 5, 9], [3, 4, 8]),
+            lambda: verify_realization(TestValueTypes.tampered(), transitive(3)),
+            lambda: guaranteed_wins_audit(TestValueTypes.tampered(), transitive(3)),
+        ],
+        ids=["DiceSet", "DiceSet_by_keyword", "Tournament", "Matchup", "VerificationReport", "WinsAudit"],
+    )
+    def test_equal_values_compare_and_hash_alike(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+
+    def test_values_of_different_types_differ(self):
+        assert EQ1 != FIG1 and FIG1 != EQ1 and EQ1 != EQ1.faces and FIG1 != (FIG1.n, FIG1.rows)
+        assert EQ1.__eq__(FIG1) is NotImplemented and FIG1.__eq__(EQ1) is NotImplemented
+
+    def test_fields_are_read_only(self):
+        d, t = dice_set([[1, 5, 9], [3, 4, 8], [2, 6, 7]]), from_edges(3, [(1, 2), (2, 3), (3, 1)])
+        for value, field in ((d, "faces"), (t, "rows"), (t, "n")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, ())
+        assert d == EQ1 and t == FIG1
+
+
 class TestVerifyRealization:
     def test_fig8_report(self):
         from tourneydice import DiceSet
@@ -408,6 +467,11 @@ class TestCompactLabels:
 
     def test_two_dice(self):
         assert compact_labels(dice_set([[10], [20]])).faces == ((1,), (2,))
+
+    def test_repeated_label_refused(self):
+        # a rank map onto 1..N exists only for distinct labels; (1, 3), (3, 4) would skip 2 and repeat 3
+        with pytest.raises(DuplicateLabelError, match="face labels are not pairwise distinct"):
+            compact_labels(DiceSet(((1, 2), (2, 3))))
 
     def test_closes_gaps_and_preserves_matchups(self):
         t = random_tournament(8, 6)

@@ -136,6 +136,53 @@ class TestVerifyPartition:
         assert report.parity == ("odd" if n % 2 else "even")
 
 
+class TestValueTypes:
+    """What OneFactorization and PartitionReport keep: reprs, equality, hashing, read-only fields."""
+
+    def test_reprs_pinned(self):
+        cases = [
+            (odd_rounds(3), "OneFactorization(n=3, rounds=(((2, 3),), ((1, 3),), ((1, 2),)))"),
+            (
+                verify_partition(odd_rounds(3)),
+                "PartitionReport(n=3, parity='odd', checks=(('edges_partitioned', True), "
+                "('rounds_are_matchings', True), ('one_absence_per_round', True)), failures=())",
+            ),
+            (
+                verify_partition(OneFactorization(3, ())),
+                "PartitionReport(n=3, parity='odd', checks=(('edges_partitioned', False), "
+                "('rounds_are_matchings', True), ('one_absence_per_round', True)), failures=('edge (2, 3) "
+                "appears 0 times', 'edge (1, 2) appears 0 times', 'edge (1, 3) appears 0 times'))",
+            ),
+        ]
+        for value, text in cases:
+            assert repr(value) == text
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: odd_rounds(7),
+            lambda: OneFactorization(n=6, rounds=ROUNDS_6),
+            lambda: verify_partition(even_rounds(6)),
+        ],
+        ids=["OneFactorization", "OneFactorization_by_keyword", "PartitionReport"],
+    )
+    def test_equal_values_compare_and_hash_alike(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+
+    def test_values_of_different_types_differ(self):
+        f = odd_rounds(3)
+        assert f != (f.n, f.rounds) and f.__eq__((f.n, f.rounds)) is NotImplemented
+        assert f != odd_rounds(5) and f != OneFactorization(3, f.rounds[:1])
+
+    def test_fields_are_read_only(self):
+        f = odd_rounds(7)
+        for field in ("rounds", "n"):
+            with pytest.raises(AttributeError):
+                setattr(f, field, ())
+        assert f.rounds == ROUNDS_7
+
+
 class TestLeftCount:
     def test_paper_example_3_vs_6(self):
         # 3 is left of 6 in rounds 2 and 4, right of it in rounds 5 and 7
@@ -146,6 +193,9 @@ class TestLeftCount:
 
     def test_n3_single_shared_round(self):
         assert left_count(odd_rounds(3), 1, 2) == (0, 0, 1)
+
+    def test_repr_pinned(self):
+        assert repr(left_count(odd_rounds(7), 3, 6)) == "LeftCount(less=2, greater=2, ties=1)"
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
