@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import json
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, combinations
@@ -25,7 +25,7 @@ from .errors import (
     TieDetectedError,
 )
 from .factorization import OneFactorization, even_rounds, odd_rounds
-from .tournament import Tournament, _oriented
+from .tournament import Tournament, _oriented, _with_top
 
 Faces = tuple[int, ...]
 
@@ -103,7 +103,7 @@ def face_wins(a: Sequence[int], b: Sequence[int]) -> int:
     Exhaustive enumeration on purpose: this is the verification oracle and
     shares no code with the construction.
     """
-    return sum(1 for x in a for y in b if x > y)
+    return len([0 for x in a for y in b if x > y])
 
 
 def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
@@ -149,17 +149,16 @@ def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
     out round i), then each pair with the loser before the winner, so every
     matched pair gets adjacent labels with the higher one on the winner.
     """
-    n = f.n
+    n, rows = f.n, t.rows
     columns = []
     for i, row in enumerate(f.rounds, start=1):
         order = [i] if n % 2 else []
         for a, b in row:
-            order += (b, a) if t.beats(a, b) else (a, b)
-        column = [0] * n
-        for label, v in enumerate(order, start=n * (i - 1) + 1):
-            column[v - 1] = label
+            order += (b, a) if rows[a - 1] >> (b - 1) & 1 else (a, b)  # a beats b
+        column = [0] * (n + 1)  # column[v] is die v's label; slot 0 is unused
+        deque(map(column.__setitem__, order, range(n * (i - 1) + 1, n * i + 1)), 0)
         columns.append(column)
-    return DiceSet(tuple(list(zip(*columns))))
+    return DiceSet(tuple(list(zip(*columns))[1:]))
 
 
 def build_odd(t: Tournament) -> DiceSet:
@@ -189,8 +188,7 @@ def build_0mod4(t: Tournament) -> DiceSet:
     n = t.n
     if n % 4 != 0:
         raise ParityError(f"this construction needs n = 0 (mod 4), got {n}")
-    augmented = _oriented(n + 1, lambda i, j: j <= n and t.beats(i, j))
-    full = build_odd(augmented)
+    full = build_odd(_with_top(t))
     return DiceSet(full.faces[:n])
 
 

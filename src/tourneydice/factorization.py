@@ -66,14 +66,25 @@ class LeftCount(namedtuple("LeftCount", "less greater ties")):
 
 
 def _circle(m: int) -> tuple[tuple[Pair, ...], ...]:
-    """Circle method on K_m, odd m >= 1: round i pairs {i+j, i-j} mod m for j = 1..(m-1)/2."""
+    """Circle method on K_m, odd m >= 1: round i pairs {i+j, i-j} mod m for j = 1..(m-1)/2.
+
+    Each round is a run of j for which neither i+j nor i-j wraps, giving
+    (i-j, i+j), then a run where i-j wraps, giving (i+j, i-j+m), or one
+    where i+j wraps, giving (i+j-m, i-j); each run zips two slices of one
+    vertex list, so every pair is ordered and all rounds share its ints.
+    """
+    h = (m - 1) // 2
+    v = list(range(m + 1))  # v[x] is x
     rounds = []
     for i in range(1, m + 1):
-        row = []
-        for j in range(1, (m + 1) // 2):
-            a, b = (i + j - 1) % m + 1, (i - j - 1) % m + 1
-            row.append((a, b) if a < b else (b, a))
-        rounds.append(tuple(row))
+        if i <= h:  # j = i..h: i-j wraps
+            c = i - 1
+            wrapped = zip(v[2 * i : i + h + 1], v[m : m + i - h - 1 : -1])
+        else:  # j = m-i+1..h: i+j wraps
+            c = m - i
+            wrapped = zip(v[1 : i + h - m + 1], v[2 * i - m - 1 : i - h - 1 : -1])
+        pairs = [*zip(v[i - 1 : i - c - 1 : -1], v[i + 1 : i + c + 1]), *wrapped]  # j = 1..c: no wrap
+        rounds.append(tuple(pairs))
     return tuple(rounds)
 
 

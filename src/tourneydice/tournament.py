@@ -166,6 +166,11 @@ def _oriented(n: int, keep: Callable[[int, int], object]) -> Tournament:
     return Tournament(n, _bit_rows(n, cells))
 
 
+def _with_top(t: Tournament) -> Tournament:
+    """t plus a vertex n+1 that beats every vertex of t; no row of t changes."""
+    return Tournament(t.n + 1, t.rows + ((1 << t.n) - 1,))
+
+
 def transitive(n: int) -> Tournament:
     """The transitive tournament: i -> j whenever i < j."""
     return _oriented(n, lambda i, j: True)

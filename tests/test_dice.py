@@ -1,6 +1,8 @@
 """Tests for dice construction, the face-win oracle, and verification."""
 
 import hashlib
+import tracemalloc
+from bisect import bisect_left
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
@@ -69,6 +71,44 @@ class TestFaceWins:
         k = min(len(a), len(b))
         a, b = a[:k], b[:k]
         assert face_wins(a, b) + face_wins(b, a) == k * k
+
+    @given(a=st.lists(st.integers(-50, 50), max_size=30), b=st.lists(st.integers(-50, 50), max_size=30))
+    def test_equals_a_bisect_count(self, a, b):
+        # any int lists: empty, repeated and negative faces included
+        ordered = sorted(b)
+        assert face_wins(a, b) == sum(bisect_left(ordered, x) for x in a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13])
+    def test_makes_every_comparison_once(self, n):
+        # exhaustive: one x > y per ordered face pair, which no sort-based count matches
+        calls = []
+
+        class Face(int):
+            def __gt__(self, other):
+                calls.append(1)
+                return int(self) > int(other)
+
+        d = build_dice(random_tournament(n, 3))
+        for a, b in combinations([[Face(x) for x in die] for die in d.faces], 2):
+            calls.clear()
+            face_wins(a, b)
+            assert len(calls) == len(a) * len(b)
+
+    @pytest.mark.parametrize("shift", [0, 10**6])
+    def test_transient_memory_at_the_size_cap(self, shift):
+        # k = 2001, the side count at cli.MAX_N = 2000: the count is a list with one pointer
+        # per winning face pair, freed on return; peaks measured by tracemalloc on CPython 3.11:
+        # 17.1 MB (16.3 MiB) for the 2001000 wins of interleaved faces, 34.7 MB when a beats b outright
+        k = 2001
+        a, b = [x + shift for x in range(1, 2 * k, 2)], list(range(2, 2 * k + 1, 2))
+        tracemalloc.start()
+        try:
+            wins = face_wins(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wins == (k * k if shift else k * (k - 1) // 2)
+        assert peak < 9 * wins  # 8 bytes a pointer, plus the list's over-allocation of at most 1/8
 
 
 class TestMatchup:
@@ -271,6 +311,26 @@ class TestBuildDice:
         assert hashlib.sha256(blob).hexdigest() == (
             "f415065c8bfd006e147002dc7f761f8bcda2ffdef8964ef5a499248d9ef341d6"
         )
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (296, "0827993420f27fda6a6f63921124155603aabc4cf833d5c91b0d25cd430aa4c1"),
+            (297, "6871c2ae429c8a98ea5c22f57389675b40e8a8870af82433e9e5852a6b8c9338"),
+            (298, "14cd20e05acfe7299b2063873db0155d74c9c2f23df4adf6843c107b35d87038"),
+            (299, "cc7f29f63bab1a2fd55fe61ebfe9ee54cd06b8073207ee7f52681b9e403c2b0f"),
+            (300, "ed0f9f8026ca49922dba381c9b6f764d1c8e13ad99b66e3cfa385b4f266c7597"),
+            (301, "20c528602296b46a572d2ca28e1dc636488a89f2de06abad9c7671fb8bbc17a2"),
+            (302, "bcf5d3163a3c6b30994390ed4fe857aab2604881f54003b5bb6ac057dbbaf880"),
+            (303, "eb2c8c24c5f6801e07f575b881e171f8fc8dce5a86309c12a3aaa040dbe42bae"),
+            (304, "90025fe1a7b4882f740fda8e5ff3a549861a224a4d86f27bc204f342701a183d"),
+            (305, "c49413ba61b589bc6f9263365fdbebcbe6921aadec8f899acf0f24816d157b74"),
+        ],
+    )
+    def test_exact_labels_pinned_near_300(self, n, digest):
+        # the build_large benchmark sizes, every residue mod 4
+        blob = serialize_dice(build_dice(random_tournament(n, n)))
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestAuditsAndBalance:

@@ -222,6 +222,16 @@ def test_exact_rounds_pinned():
     assert digest == "2da5f4744afecfb8377b664a0d6917c4d9d66815da83d3d48ddc17a5e4dee631"
 
 
+def test_odd_rounds_follow_the_circle_formula():
+    # round i pairs {i+j, i-j} mod m for j = 1..(m-1)/2, each pair smaller vertex first
+    for m in range(3, 402, 2):
+        expected = []
+        for i in range(1, m + 1):
+            ends = [((i + j - 1) % m + 1, (i - j - 1) % m + 1) for j in range(1, (m + 1) // 2)]
+            expected.append(tuple([(a, b) if a < b else (b, a) for a, b in ends]))
+        assert odd_rounds(m).rounds == tuple(expected), m
+
+
 def test_partition_failure_texts_pinned():
     def bad(f, r, c, pair):
         rows = [list(row) for row in f.rounds]
