@@ -16,6 +16,7 @@ from collections import deque, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, combinations
+from operator import itemgetter
 
 from .errors import (
     DuplicateLabelError,
@@ -149,12 +150,14 @@ def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
     out round i), then each pair with the loser before the winner, so every
     matched pair gets adjacent labels with the higher one on the winner.
     """
-    n, rows = f.n, t.rows
+    n, top = f.n, 1 << f.n
+    # bits[a - 1][b - 1] is "1" iff a beats b: row a's bits, lowest first; with bit n set, bin() is "0b1" + n bits
+    bits = [bin(row | top)[:2:-1] for row in t.rows]
     columns = []
     for i, row in enumerate(f.rounds, start=1):
         order = [i] if n % 2 else []
         for a, b in row:
-            order += (b, a) if rows[a - 1] >> (b - 1) & 1 else (a, b)  # a beats b
+            order += (b, a) if bits[a - 1][b - 1] == "1" else (a, b)  # a beats b
         column = [0] * (n + 1)  # column[v] is die v's label; slot 0 is unused
         deque(map(column.__setitem__, order, range(n * (i - 1) + 1, n * i + 1)), 0)
         columns.append(column)
@@ -260,7 +263,9 @@ def compact_labels(d: DiceSet) -> DiceSet:
     rank = dict(zip(labels, range(1, len(labels) + 1)))
     if len(rank) != len(labels):  # a repeated label has no one rank
         raise DuplicateLabelError("face labels are not pairwise distinct")
-    return DiceSet(tuple([tuple(list(map(rank.__getitem__, die))) for die in d.faces]))
+    # one C call per die; itemgetter of a single key returns the bare rank, so a one-face die is mapped by hand
+    faces = [itemgetter(*die)(rank) if len(die) > 1 else tuple([rank[x] for x in die]) for die in d.faces]
+    return DiceSet(tuple(faces))
 
 
 def serialize_dice(d: DiceSet, fmt: str = "json") -> bytes:

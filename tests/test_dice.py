@@ -543,6 +543,21 @@ class TestCompactLabels:
         for i, j in combinations(range(d.n), 2):
             assert matchup(d.faces[i], d.faces[j]) == matchup(c.faces[i], c.faces[j])
 
+    @given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, 6), subclass=st.booleans())
+    def test_matches_dict_map_on_dice_not_built(self, data, n, k, subclass):
+        # dice the construction never makes: labels far above n*k, int-subclass labels, and one-face dice
+        class Label(int):
+            pass
+
+        labels = data.draw(st.lists(st.integers(1, 10**12), min_size=n * k, max_size=n * k, unique=True))
+        if subclass:
+            labels = [Label(x) for x in labels]
+        dice = [labels[v * k : (v + 1) * k] for v in range(n)]
+        rank = {x: r for r, x in enumerate(sorted(labels), start=1)}
+        c = compact_labels(dice_set(dice))
+        assert c.faces == tuple(tuple([rank[x] for x in die]) for die in dice)
+        assert type(c.faces) is tuple and all(type(die) is tuple for die in c.faces)
+
 
 class TestDiceFormats:
     def test_json_golden(self):

@@ -1,6 +1,8 @@
 """Tests for tournament construction, generators, and file formats."""
 
+import gc
 import hashlib
+import random
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -255,6 +257,49 @@ def test_random_tournament_memory():
     assert t.n == 500 and held < 1_000_000
 
 
+class CountingRandom(random.Random):
+    """A Mersenne Twister that counts its ``getrandbits`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 301])
+def test_random_tournament_draws_once_per_row(monkeypatch, n):
+    made = []
+
+    def counting(seed):
+        made.append(CountingRandom(seed))
+        return made[-1]
+
+    monkeypatch.setattr(random, "Random", counting)
+    random_tournament(n, 5)
+    assert [rng.draws for rng in made] == [n - 1]
+
+
+def reference_random_tournament(n, seed):
+    """random_tournament as one getrandbits(1) per pair, in lexicographic order; a set bit keeps i -> j."""
+    rng = random.Random(seed)
+    return from_edges(n, [(i, j) if rng.getrandbits(1) else (j, i) for i, j in combinations(range(1, n + 1), 2)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 10**30])
+def test_random_tournament_matches_per_pair_draws(seed):
+    for n in range(1, 41):
+        assert random_tournament(n, seed) == reference_random_tournament(n, seed), n
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_random_tournament_needs_a_vertex(n):
+    with pytest.raises(VertexOutOfRangeError, match=f"^n must be positive, got {n}$"):
+        random_tournament(n, 1)
+
+
 def peak_bytes(call):
     """Tracemalloc peak while call() runs."""
     tracemalloc.start()
@@ -275,6 +320,27 @@ def test_format_peak_memory_n1000(stage, fmt, bound_mb):
     t = random_tournament(1000, 1)
     arg = serialize_tournament(t, fmt) if stage is parse_tournament else t
     assert peak_bytes(lambda: stage(arg, fmt)) < bound_mb * 1_000_000
+
+
+def test_random_tournament_peak_memory_n1000():
+    # the n*n cell array and the bit rows; no list of pairs or of random draws
+    assert peak_bytes(lambda: random_tournament(1000, 1)) <= 1_350_000
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fails", [False, True], ids=["good", "bad-json"])
+def test_json_parse_leaves_the_collector_as_it_found_it(enabled, fails):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(ParseError, match="bad JSON"):
+                parse_tournament(b'{"n":2,"beats":[[2,1]', "json")
+        else:
+            assert parse_tournament(b'{"n":2,"beats":[[2,1]]}', "json") == from_edges(2, [(2, 1)])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_exact_formats_pinned():
