@@ -28,7 +28,6 @@ from .dice import (
 from .factorization import (
     OneFactorization,
     even_rounds,
-    left_count,
     odd_rounds,
     verify_partition,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "from_edges",
     "guaranteed_wins_audit",
     "is_balanced",
-    "left_count",
     "matchup",
     "odd_rounds",
     "paley",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import json
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, combinations
@@ -146,20 +146,28 @@ def build_dice(t: Tournament) -> DiceSet:
 def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
     """Give column i the labels n(i-1)+1, n(i-1)+2, ... in the order of round i's slots.
 
-    The slots are the vertex sitting the round out (odd n: vertex i sits
-    out round i), then each pair with the loser before the winner, so every
-    matched pair gets adjacent labels with the higher one on the winner.
+    A running label, starting at 1, walks the slots of every round in turn:
+    the vertex sitting the round out (odd n: vertex i sits out round i)
+    takes one label, then each pair takes the next two, the loser the lower
+    and the winner the higher, so every matched pair gets adjacent labels.
     """
-    n, top = f.n, 1 << f.n
-    # bits[a - 1][b - 1] is "1" iff a beats b: row a's bits, lowest first; with bit n set, bin() is "0b1" + n bits
-    bits = [bin(row | top)[:2:-1] for row in t.rows]
+    n, top = f.n, 1 << (f.n + 1)
+    # bits[a][b] is "1" iff a beats b: row a shifted up one bit and read lowest first, so index b holds
+    # bit b-1; with bit n+1 set, bin() is "0b1" + n+1 bits; bits[0] stands in for the absent vertex 0
+    bits = [""] + [bin(row << 1 | top)[:2:-1] for row in t.rows]
+    label = 1
     columns = []
     for i, row in enumerate(f.rounds, start=1):
-        order = [i] if n % 2 else []
-        for a, b in row:
-            order += (b, a) if bits[a - 1][b - 1] == "1" else (a, b)  # a beats b
         column = [0] * (n + 1)  # column[v] is die v's label; slot 0 is unused
-        deque(map(column.__setitem__, order, range(n * (i - 1) + 1, n * i + 1)), 0)
+        if n % 2:
+            column[i] = label
+            label += 1
+        for a, b in row:
+            if bits[a][b] == "1":  # a beats b, so b takes the lower label
+                a, b = b, a
+            column[a] = label
+            column[b] = label + 1
+            label += 2
         columns.append(column)
     return DiceSet(tuple(list(zip(*columns))[1:]))
 
@@ -258,10 +266,26 @@ def is_balanced(d: DiceSet) -> bool:
 
 
 def compact_labels(d: DiceSet) -> DiceSet:
-    """Relabel faces with their ranks 1..n*k; order-preserving, so every matchup is unchanged."""
-    labels = sorted(chain.from_iterable(d.faces))
-    rank = dict(zip(labels, range(1, len(labels) + 1)))
-    if len(rank) != len(labels):  # a repeated label has no one rank
+    """Relabel faces with their ranks 1..n*k; order-preserving, so every matchup is unchanged.
+
+    Labels that are already the plain ints 1..n*k, each once, are their own
+    ranks: the faces come back as they are, as tuples, with no sort.  Odd n
+    and n = 2 (mod 4) builds are such sets; only n = 0 (mod 4) builds leave
+    gaps, where the helper die's labels were.
+    """
+    labels = list(chain.from_iterable(d.faces))
+    n_labels = len(labels)
+    if (
+        labels
+        and max(labels) == n_labels  # cheapest first, and the test an n = 0 (mod 4) build fails
+        and min(labels) == 1
+        and set(map(type, labels)) == {int}  # an int subclass or a float comes back as plain int ranks
+        and len(set(labels)) == n_labels
+    ):
+        return DiceSet(tuple([tuple(die) for die in d.faces]))
+    labels.sort()
+    rank = dict(zip(labels, range(1, n_labels + 1)))
+    if len(rank) != n_labels:  # a repeated label has no one rank
         raise DuplicateLabelError("face labels are not pairwise distinct")
     # one C call per die; itemgetter of a single key returns the bare rank, so a one-face die is mapped by hand
     faces = [itemgetter(*die)(rank) if len(die) > 1 else tuple([rank[x] for x in die]) for die in d.faces]

@@ -11,7 +11,6 @@ what makes the left/right counts come out symmetric for pairs involving n.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property
 from itertools import combinations
 
 from .errors import ParityError
@@ -47,22 +46,6 @@ class OneFactorization:
     def parity(self) -> str:
         """``"odd"`` or ``"even"``, from n."""
         return "odd" if self.n % 2 else "even"
-
-    @cached_property
-    def _columns(self) -> tuple[dict[int, int], ...]:
-        # per round: vertex -> 1-based column
-        tables = []
-        for row in self.rounds:
-            cols: dict[int, int] = {}
-            for j, (a, b) in enumerate(row, start=1):
-                cols[a] = j
-                cols[b] = j
-            tables.append(cols)
-        return tuple(tables)
-
-
-class LeftCount(namedtuple("LeftCount", "less greater ties")):
-    __slots__ = ()
 
 
 def _circle(m: int) -> tuple[tuple[Pair, ...], ...]:
@@ -106,25 +89,6 @@ def even_rounds(n: int) -> OneFactorization:
     lead = (n - 2) // 4
     rows = enumerate(_circle(n - 1), start=1)
     return OneFactorization(n, tuple([row[:lead] + ((i, n),) + row[lead:] for i, row in rows]))
-
-
-def left_count(f: OneFactorization, w: int, x: int) -> LeftCount:
-    """Over rounds containing both vertices, how often w's column is left of, right of, or equal to x's."""
-    if w == x:
-        raise ValueError("left_count needs two distinct vertices")
-    less = greater = ties = 0
-    for cols in f._columns:
-        cw = cols.get(w)
-        cx = cols.get(x)
-        if cw is None or cx is None:
-            continue
-        if cw < cx:
-            less += 1
-        elif cw > cx:
-            greater += 1
-        else:
-            ties += 1
-    return LeftCount(less, greater, ties)
 
 
 class PartitionReport(namedtuple("PartitionReport", "n parity checks failures")):

@@ -21,13 +21,14 @@ from tourneydice import (
     even_rounds,
     face_wins,
     from_edges,
-    left_count,
     matchup,
     odd_rounds,
     random_tournament,
     transitive,
     verify_partition,
 )
+
+from left_counts import left_count
 
 FIG1 = from_edges(3, [(1, 2), (2, 3), (3, 1)])
 EQ1_FACES = ([1, 5, 9], [3, 4, 8], [2, 6, 7])
