@@ -15,7 +15,7 @@ import json
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from operator import itemgetter
 
 from .errors import (
@@ -33,6 +33,10 @@ Faces = tuple[int, ...]
 
 class DiceSet:
     """n dice with equal side counts; ``faces[v-1][i-1]`` is face i of die v."""
+
+    # True only on a set made by dice_set whose labels are all plain ints (>= 1 and distinct, as it checks there);
+    # compact_labels trusts it, and nothing else reads it: the oracle revalidates every set itself
+    _labels_checked = False
 
     def __init__(self, faces: tuple[Faces, ...]) -> None:
         object.__setattr__(self, "faces", faces)
@@ -82,13 +86,16 @@ def dice_set(faces: Iterable[Sequence[int]]) -> DiceSet:
     if not sides:
         raise ParseError("dice need at least one side")
     labels = list(chain.from_iterable(frozen))
-    if set(map(type, labels)) != {int} or min(labels) < 1:  # name the first bad label; int subclasses pass
+    plain = set(map(type, labels)) == {int}
+    if not plain or min(labels) < 1:  # name the first bad label; int subclasses pass
         for x in labels:
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise ParseError(f"face label {x!r} is not a positive integer")
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError("face labels are not pairwise distinct")
-    return DiceSet(frozen)
+    d = DiceSet(frozen)
+    object.__setattr__(d, "_labels_checked", plain)
+    return d
 
 
 # probability: the chance that die a rolls the higher number, as a Fraction
@@ -266,29 +273,45 @@ def is_balanced(d: DiceSet) -> bool:
 
 
 def compact_labels(d: DiceSet) -> DiceSet:
-    """Relabel faces with their ranks 1..n*k; order-preserving, so every matchup is unchanged.
+    """Relabel faces with their ranks 1..N, N = n*k; order-preserving, so every matchup is unchanged.
 
-    Labels that are already the plain ints 1..n*k, each once, are their own
-    ranks: the faces come back as they are, as tuples, with no sort.  Odd n
-    and n = 2 (mod 4) builds are such sets; only n = 0 (mod 4) builds leave
-    gaps, where the helper die's labels were.
+    Plain-int labels no larger than 2N are ranked in linear time: a table
+    flags each label present, and its running counts are the ranks.  Labels
+    already 1..N are their own ranks and come back as they are, as tuples;
+    odd n and n = 2 (mod 4) builds are such sets, and an n = 0 (mod 4) build
+    skips one label per column, so every build takes this path.  Only a set
+    made by :func:`dice_set` skips the type, sign and repeat checks, which
+    that call has made; a bare :class:`DiceSet` is checked here first.  All
+    other labels (sparse, int subclasses, ``bool``, floats, zero or negative,
+    none at all) are sorted and ranked through a dict.  A repeated label has
+    no one rank and raises :class:`DuplicateLabelError` on either path.
     """
-    labels = list(chain.from_iterable(d.faces))
-    n_labels = len(labels)
-    if (
-        labels
-        and max(labels) == n_labels  # cheapest first, and the test an n = 0 (mod 4) build fails
-        and min(labels) == 1
-        and set(map(type, labels)) == {int}  # an int subclass or a float comes back as plain int ranks
-        and len(set(labels)) == n_labels
+    faces = d.faces
+    n_labels = sum(map(len, faces))
+    top = max(chain.from_iterable(faces), default=0)  # incomparable labels raise TypeError here
+    checked = d._labels_checked
+    if 0 < top <= 2 * n_labels and (
+        checked
+        or set(map(type, chain.from_iterable(faces))) == {int}  # an int subclass or a float takes the sort
+        and min(chain.from_iterable(faces)) >= 1
     ):
-        return DiceSet(tuple([tuple(die) for die in d.faces]))
-    labels.sort()
-    rank = dict(zip(labels, range(1, n_labels + 1)))
-    if len(rank) != n_labels:  # a repeated label has no one rank
-        raise DuplicateLabelError("face labels are not pairwise distinct")
+        if checked and top == n_labels:  # distinct labels 1..N
+            return DiceSet(faces)
+        present = bytearray(top + 1)
+        for x in chain.from_iterable(faces):
+            present[x] = 1
+        if not checked and present.count(1) != n_labels:  # a repeated label is flagged once for two faces
+            raise DuplicateLabelError("face labels are not pairwise distinct")
+        if top == n_labels:
+            return DiceSet(tuple([tuple(die) for die in faces]))
+        rank = list(accumulate(present))  # rank[x]: labels present at or below x
+    else:
+        labels = sorted(chain.from_iterable(faces))
+        rank = dict(zip(labels, range(1, n_labels + 1)))
+        if len(rank) != n_labels:  # a repeated label has no one rank
+            raise DuplicateLabelError("face labels are not pairwise distinct")
     # one C call per die; itemgetter of a single key returns the bare rank, so a one-face die is mapped by hand
-    faces = [itemgetter(*die)(rank) if len(die) > 1 else tuple([rank[x] for x in die]) for die in d.faces]
+    faces = [itemgetter(*die)(rank) if len(die) > 1 else tuple([rank[x] for x in die]) for die in faces]
     return DiceSet(tuple(faces))
 
 

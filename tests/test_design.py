@@ -10,22 +10,26 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "tourneydice"
 
 
-def _calls():
-    """(module file name, qualified name of the enclosing def or class, call node) for every call."""
+def _nodes():
+    """(module file name, qualified name of the enclosing def or class, node) for every node of the package."""
     found = []
 
     def walk(node, module, scope):
         for child in ast.iter_child_nodes(node):
+            found.append((module, ".".join(scope), child))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, module, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call):
-                found.append((module, ".".join(scope), child))
-            walk(child, module, scope)
+            else:
+                walk(child, module, scope)
 
     for path in sorted(SRC.glob("*.py")):
         walk(ast.parse(path.read_text(), filename=str(path)), path.name, ())
     return found
+
+
+def _calls():
+    """(module file name, qualified name of the enclosing def or class, call node) for every call."""
+    return [(module, scope, node) for module, scope, node in _nodes() if isinstance(node, ast.Call)]
 
 
 def _name(func):
@@ -47,6 +51,45 @@ def test_tournaments_are_built_only_in_tournament_module():
     # one place builds the bit rows; every other module goes through from_edges, _oriented or a parser
     modules = {module for module, _, call in _calls() if _name(call.func) == "Tournament"}
     assert modules == {"tournament.py"}
+
+
+def test_label_record_is_written_only_by_dice_set_and_read_only_by_compact_labels():
+    """``DiceSet._labels_checked`` says dice_set has checked the labels; only compact_labels may trust it.
+
+    It defaults to False on the class, dice_set sets it on the sets it
+    returns, and compact_labels reads it to skip the checks dice_set made.
+    Nothing else names it, so no check of the oracle can come to depend on it.
+    """
+    record = "_labels_checked"
+    nodes = _nodes()
+    written = {
+        id(node.args[1])
+        for _, _, node in nodes
+        if isinstance(node, ast.Call) and _name(node.func) in ("setattr", "__setattr__") and len(node.args) > 1
+    }
+    uses = []
+    for module, scope, node in nodes:
+        if isinstance(node, ast.Constant) and node.value == record:
+            uses.append((module, scope, "write" if id(node) in written else "string"))
+        elif isinstance(node, ast.Attribute) and node.attr == record:
+            uses.append((module, scope, "read" if isinstance(node.ctx, ast.Load) else "write"))
+        elif isinstance(node, ast.Name) and node.id == record:
+            uses.append((module, scope, "read" if isinstance(node.ctx, ast.Load) else "assign"))
+    assert sorted(uses) == [
+        ("dice.py", "DiceSet", "assign"),
+        ("dice.py", "compact_labels", "read"),
+        ("dice.py", "dice_set", "write"),
+    ]
+
+
+def test_shared_sweep_revalidates_every_set_first():
+    # the oracle trusts no record: _pair_wins opens with a bare dice_set(self.faces), under no condition
+    (pair_wins,) = [
+        node for _, scope, node in _nodes() if scope == "DiceSet" and getattr(node, "name", None) == "_pair_wins"
+    ]
+    docstring, first = pair_wins.body[:2]
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert isinstance(first, ast.Expr) and ast.unparse(first) == "dice_set(self.faces)"
 
 
 def test_tuples_are_built_from_sources_of_known_size():
