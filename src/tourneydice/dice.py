@@ -295,14 +295,13 @@ def compact_labels(d: DiceSet) -> DiceSet:
         or set(map(type, chain.from_iterable(faces))) == {int}  # an int subclass or a float takes the sort
         and min(chain.from_iterable(faces)) >= 1
     ):
-        if checked and top == n_labels:  # distinct labels 1..N
-            return DiceSet(faces)
-        present = bytearray(top + 1)
-        for x in chain.from_iterable(faces):
-            present[x] = 1
-        if not checked and present.count(1) != n_labels:  # a repeated label is flagged once for two faces
-            raise DuplicateLabelError("face labels are not pairwise distinct")
-        if top == n_labels:
+        if not checked or top != n_labels:  # the repeat check, or the ranks of labels with gaps
+            present = bytearray(top + 1)
+            for x in chain.from_iterable(faces):
+                present[x] = 1
+            if present.count(1) != n_labels:  # a repeated label is flagged once for two faces
+                raise DuplicateLabelError("face labels are not pairwise distinct")
+        if top == n_labels:  # distinct labels 1..N are their own ranks
             return DiceSet(tuple([tuple(die) for die in faces]))
         rank = list(accumulate(present))  # rank[x]: labels present at or below x
     else:

@@ -567,6 +567,21 @@ class TestCompactLabels:
         for i, j in combinations(range(d.n), 2):
             assert matchup(d.faces[i], d.faces[j]) == matchup(c.faces[i], c.faces[j])
 
+    @given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, 6), subclass=st.booleans())
+    def test_matches_dict_map_on_dice_not_built(self, data, n, k, subclass):
+        # dice the construction never makes: labels far above n*k, int-subclass labels, and one-face dice
+        class Label(int):
+            pass
+
+        labels = data.draw(st.lists(st.integers(1, 10**12), min_size=n * k, max_size=n * k, unique=True))
+        if subclass:
+            labels = [Label(x) for x in labels]
+        dice = [labels[v * k : (v + 1) * k] for v in range(n)]
+        rank = {x: r for r, x in enumerate(sorted(labels), start=1)}
+        c = compact_labels(dice_set(dice))
+        assert c.faces == tuple(tuple([rank[x] for x in die]) for die in dice)
+        assert type(c.faces) is tuple and all(type(die) is tuple for die in c.faces)
+
     @pytest.mark.parametrize("n", [n for n in range(1, 41) if n % 4])
     def test_builds_without_gaps_are_their_own_compaction(self, n):
         d = build_dice(random_tournament(n, n))
@@ -618,7 +633,7 @@ class TestCompactLabels:
         repeat=st.booleans(),
         kind=st.sampled_from([int, Label, bool, float]),
     )
-    def test_matches_dict_map_on_dice_not_built(self, data, n, k, low, span, repeat, kind):
+    def test_matches_sort_and_rank_on_every_label_kind(self, data, n, k, low, span, repeat, kind):
         # dice the construction never makes, each as a bare DiceSet and, where dice_set takes it, through it:
         # labels from low, low+1, ... over a range as wide as the label count N, twice it, one more, or 10**12
         size = n * k
