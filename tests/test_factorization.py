@@ -297,3 +297,61 @@ def test_even_left_right_symmetry(n, data):
     counts = left_count(even_rounds(n), w, x)
     assert counts.less == counts.greater
     assert counts.ties == 1
+
+
+def frozen_circle(m):
+    """The circle method as it stood when every round was stored: the reference the lazy rows must match."""
+    h = (m - 1) // 2
+    v = list(range(m + 1))
+    rounds = []
+    for i in range(1, m + 1):
+        if i <= h:
+            c = i - 1
+            wrapped = zip(v[2 * i : i + h + 1], v[m : m + i - h - 1 : -1])
+        else:
+            c = m - i
+            wrapped = zip(v[1 : i + h - m + 1], v[2 * i - m - 1 : i - h - 1 : -1])
+        pairs = [*zip(v[i - 1 : i - c - 1 : -1], v[i + 1 : i + c + 1]), *wrapped]
+        rounds.append(tuple(pairs))
+    return tuple(rounds)
+
+
+def frozen_even_rounds(n):
+    """``even_rounds(n).rounds`` as it stood: K_(n-1)'s stored rounds with (i, n) spliced into the middle."""
+    lead = (n - 2) // 4
+    return tuple([row[:lead] + ((i, n),) + row[lead:] for i, row in enumerate(frozen_circle(n - 1), start=1)])
+
+
+class TestDerivedRounds:
+    """odd_rounds and even_rounds hold only n; the rows come off the circle formula, .rounds on first read."""
+
+    CASES = [(odd_rounds, n, frozen_circle) for n in range(3, 102, 2)] + [
+        (even_rounds, n, frozen_even_rounds) for n in range(2, 103, 4)
+    ]
+
+    @pytest.mark.parametrize("make, n, frozen", CASES, ids=[f"n{n}" for _, n, _ in CASES])
+    def test_rounds_unchanged(self, make, n, frozen):
+        assert make(n).rounds == frozen(n)
+
+    @pytest.mark.parametrize("make, n, frozen", CASES, ids=[f"n{n}" for _, n, _ in CASES])
+    def test_rows_match_rounds_row_by_row(self, make, n, frozen):
+        f = make(n)
+        rows = f._rows()
+        assert "rounds" not in f.__dict__  # rows read straight off the formula store nothing
+        for i, (row, stored) in enumerate(zip(rows, make(n).rounds, strict=True), start=1):
+            assert tuple([*row]) == stored, (n, i)
+        assert "rounds" not in f.__dict__
+
+    def test_rounds_derived_once_and_kept(self):
+        f = odd_rounds(9)
+        assert "rounds" not in f.__dict__
+        assert f.rounds is f.rounds and f.__dict__["rounds"] is f.rounds
+        assert list(f._rows()) == list(f.rounds)  # once stored, the rows are the stored tuples
+        with pytest.raises(AttributeError):
+            del f.rounds
+
+    def test_given_rounds_kept_as_given(self):
+        given_rounds = ROUNDS_7[::-1]
+        f = OneFactorization(7, given_rounds)
+        assert f.rounds is given_rounds
+        assert list(f._rows()) == list(given_rounds)  # not the circle method's order
