@@ -43,12 +43,14 @@ def _read(path: str) -> bytes:
         return file.read()
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, data: bytes) -> None:
     if path == "-":
-        sys.stdout.write(text + "\n")
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.write(b"\n")
     else:
-        with open(path, "w", encoding="ascii") as file:
-            file.write(text + "\n")
+        with open(path, "wb") as file:
+            file.write(data)
+            file.write(b"\n")
 
 
 def _sniff(data: bytes) -> str:
@@ -76,7 +78,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         t = random_tournament(args.n, args.seed)
     else:
         t = paley(args.n)
-    _write(args.output, serialize_tournament(t, args.format).decode("ascii"))
+    _write(args.output, serialize_tournament(t, args.format))
     return 0
 
 
@@ -93,14 +95,10 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         raise ValueError(f"n = {args.n} is over the limit of {MAX_N}")
     f = odd_rounds(args.n) if args.n % 2 == 1 else even_rounds(args.n)
     if args.format == "json":
-        payload = {
-            "n": f.n,
-            "parity": f.parity,
-            "rounds": [[list(p) for p in row] for row in f.rounds],
-        }
-        _write(args.output, json.dumps(payload, separators=(",", ":")))
+        payload = {"n": f.n, "parity": f.parity, "rounds": f.rounds}  # json writes tuples as arrays
+        _write(args.output, json.dumps(payload, separators=(",", ":")).encode("ascii"))
     else:
-        _write(args.output, _format_rounds_table(f))
+        _write(args.output, _format_rounds_table(f).encode("ascii"))
     return 0
 
 
@@ -109,7 +107,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     d = build_dice(t)
     if args.compact:
         d = compact_labels(d)
-    _write(args.output, serialize_dice(d, args.format).decode("ascii"))
+    _write(args.output, serialize_dice(d, args.format))
     return 0
 
 

@@ -82,6 +82,30 @@ def test_label_record_is_written_only_by_dice_set_and_read_only_by_compact_label
     ]
 
 
+def test_label_rule_is_checked_only_by_dice_set():
+    """The face-label rule, every label a plain int >= 1 and none repeated, has one copy: ``dice_set``'s.
+
+    Only ``dice_set`` raises the "is not a positive integer" error, and only
+    it and ``_presence``, its repeat check, make a ``DuplicateLabelError``.
+    ``compact_labels`` raises nothing itself and calls ``dice_set`` (on a set
+    that call did not make), so it refuses what ``dice_set`` refuses, alike.
+    """
+    nodes = _nodes()
+    positive = {
+        (module, scope)
+        for module, scope, node in nodes
+        if isinstance(node, ast.Raise)
+        and any(isinstance(part, ast.Constant) and "is not a positive integer" in str(part.value)
+                for part in ast.walk(node))
+    }
+    assert positive == {("dice.py", "dice_set")}
+    repeats = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "DuplicateLabelError"}
+    assert repeats == {("dice.py", "dice_set"), ("dice.py", "_presence")}
+    compact = [node for module, scope, node in nodes if (module, scope) == ("dice.py", "compact_labels")]
+    assert [node.lineno for node in compact if isinstance(node, ast.Raise)] == []
+    assert any(isinstance(node, ast.Call) and _name(node.func) == "dice_set" for node in compact)
+
+
 def test_shared_sweep_revalidates_every_set_first():
     # the oracle trusts no record: _pair_wins opens with a bare dice_set(self.faces), under no condition
     (pair_wins,) = [
