@@ -18,6 +18,7 @@ from functools import cached_property
 from itertools import accumulate, chain, combinations
 from operator import itemgetter
 
+from ._value import _Value
 from .errors import (
     DuplicateLabelError,
     ParityError,
@@ -26,13 +27,15 @@ from .errors import (
     TieDetectedError,
 )
 from .factorization import OneFactorization, even_rounds, odd_rounds
-from .tournament import Tournament, _oriented, _with_top
+from .tournament import Tournament, _json_object, _oriented, _with_top
 
 Faces = tuple[int, ...]
 
 
-class DiceSet:
+class DiceSet(_Value):
     """n dice with equal side counts; ``faces[v-1][i-1]`` is face i of die v."""
+
+    _fields = ("faces",)
 
     # True only on a set made by dice_set, whose labels it checked; compact_labels trusts it,
     # and nothing else reads it: the oracle revalidates every set itself
@@ -40,23 +43,6 @@ class DiceSet:
 
     def __init__(self, faces: tuple[Faces, ...]) -> None:
         object.__setattr__(self, "faces", faces)
-
-    def __setattr__(self, name: str, value: object) -> None:  # cached_property writes __dict__ itself
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.faces == other.faces
-
-    def __hash__(self) -> int:
-        return hash((self.faces,))
-
-    def __repr__(self) -> str:
-        return f"DiceSet(faces={self.faces!r})"
 
     @property
     def n(self) -> int:
@@ -334,31 +320,21 @@ def serialize_dice(d: DiceSet, fmt: str = "json") -> bytes:
         for die in d.faces:
             writer.writerow(die)
         return buf.getvalue().encode("ascii")
-    if fmt == "table":
-        return format_table(d).encode("ascii")
+    if fmt == "table":  # aligned, one die per row: "X_1:  1 10 19 ..."
+        width = max((len(str(x)) for die in d.faces for x in die), default=0)
+        name_width = len(f"X_{d.n}:")
+        lines = []
+        for v, die in enumerate(d.faces, start=1):
+            cells = " ".join(str(x).rjust(width) for x in die)
+            lines.append(f"{f'X_{v}:'.ljust(name_width)} {cells}")
+        return "\n".join(lines).encode("ascii")
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def format_table(d: DiceSet) -> str:
-    """Aligned text table, one die per row: ``X_1:  1 10 19 ...``."""
-    width = max((len(str(x)) for die in d.faces for x in die), default=0)
-    name_width = len(f"X_{d.n}:")
-    lines = []
-    for v, die in enumerate(d.faces, start=1):
-        cells = " ".join(str(x).rjust(width) for x in die)
-        lines.append(f"{f'X_{v}:'.ljust(name_width)} {cells}")
-    return "\n".join(lines)
 
 
 def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
     """Decode a dice set from JSON or CSV."""
     if fmt == "json":
-        try:
-            obj = json.loads(data)
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"bad JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "dice" not in obj:
-            raise ParseError('expected an object with a "dice" list')
+        obj = _json_object(data, {"dice"}, 'expected an object with a "dice" list')
         rows = obj["dice"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ParseError('"dice" must be a list of face lists')

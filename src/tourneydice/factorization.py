@@ -15,18 +15,21 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import chain, combinations, islice
 
+from ._value import _Value
 from .errors import ParityError
 
 Pair = tuple[int, int]
 
 
-class OneFactorization:
+class OneFactorization(_Value):
     """Rounds of vertex pairs; ``rounds[i-1][j-1]`` is the pair in column j of round i.
 
     Rounds given to the constructor are kept as given.  A factorization made
     by :func:`odd_rounds` or :func:`even_rounds` holds only n, and derives
     its rounds from the circle method when they are first read.
     """
+
+    _fields = ("n", "rounds")
 
     def __init__(self, n: int, rounds: tuple[tuple[Pair, ...], ...]) -> None:
         object.__setattr__(self, "n", n)
@@ -42,23 +45,6 @@ class OneFactorization:
         if "rounds" in self.__dict__:
             return iter(self.rounds)
         return _odd_rows(self.n) if self.n % 2 else _even_rows(self.n)
-
-    def __setattr__(self, name: str, value: object) -> None:  # cached_property writes __dict__ itself
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.rounds == other.rounds
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rounds))
-
-    def __repr__(self) -> str:
-        return f"OneFactorization(n={self.n!r}, rounds={self.rounds!r})"
 
     @property
     def parity(self) -> str:

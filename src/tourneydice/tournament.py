@@ -6,6 +6,7 @@ import json
 from collections.abc import Callable, Iterable, Sequence
 from itertools import combinations, compress
 
+from ._value import _Value
 from .errors import (
     DuplicateEdgeError,
     InvalidTournamentError,
@@ -25,7 +26,7 @@ _WINS = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)  # a byte to
 _LOSES = bytes.maketrans(bytes(range(256)), b"1" * 128 + b"0" * 128)  # ... and to the opposite cell
 
 
-class Tournament:
+class Tournament(_Value):
     """A complete directed graph on the vertices 1..n, as n bit rows.
 
     Bit j-1 of ``rows[i-1]`` is set iff i beats j; ``edges`` is derived from
@@ -33,23 +34,11 @@ class Tournament:
     :func:`parse_tournament`, which all yield complete, immutable tournaments.
     """
 
+    _fields = ("n", "rows")
+
     def __init__(self, n: int, rows: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
 
     def beats(self, i: int, j: int) -> bool:
         """True if i beats j; False for any vertex outside 1..n."""
@@ -259,22 +248,33 @@ def parse_tournament(text: bytes, fmt: str = "json") -> Tournament:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _parse_json(text: bytes) -> Tournament:
+def _json_object(data: bytes, keys: set[str], shape: str) -> dict:
+    """Decode data as a JSON object that has every key in keys; :class:`ParseError` otherwise.
+
+    The error is ``bad JSON: ...`` for text ``json.loads`` refuses or nests
+    too deep, and ``shape`` for any other value.  The cyclic collector is
+    paused around ``json.loads`` and left as it was found.
+    """
     import gc  # loaded here, not at import, so that a CLI start loads only what argparse and json load
 
-    # the n(n-1)/2 small lists json.loads makes would set the cyclic collector off again and again,
-    # and none of them can form a cycle: at n = 2000 the whole parse took 2.4-2.7 s with it on, 1.6 s without
+    # the n(n-1)/2 small lists json.loads makes of a tournament would set the cyclic collector off again and
+    # again, and none of them can form a cycle: at n = 2000 the whole parse took 2.4-2.7 s with it on, 1.6 s without
     collecting = gc.isenabled()
     gc.disable()
     try:
-        obj = json.loads(text)
+        obj = json.loads(data)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     finally:
         if collecting:
             gc.enable()
-    if not isinstance(obj, dict) or "n" not in obj or "beats" not in obj:
-        raise ParseError('expected an object with "n" and "beats"')
+    if not isinstance(obj, dict) or not obj.keys() >= keys:
+        raise ParseError(shape)
+    return obj
+
+
+def _parse_json(text: bytes) -> Tournament:
+    obj = _json_object(text, {"n", "beats"}, 'expected an object with "n" and "beats"')
     n = obj["n"]
     beats = obj["beats"]
     if type(n) is not int:

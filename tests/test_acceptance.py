@@ -21,6 +21,7 @@ from tourneydice import (
     even_rounds,
     face_wins,
     from_edges,
+    is_balanced,
     matchup,
     odd_rounds,
     random_tournament,
@@ -241,4 +242,32 @@ def test_criterion_9_relabeling_invariance(corpus, win_tables):
                 failures.append(f"n={t.n} pair ({i},{j}): {after} != {(wi, wj)}")
     ok = not failures
     _report(9, ok, "compact_labels preserved every matchup on 100 constructed sets")
+    assert not failures, failures[:5]
+
+
+def _every_tournament(n: int):
+    """Every labelled tournament on 1..n: one per orientation mask of the pairs in lexicographic order."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        yield from_edges(n, [(i, j) if mask >> b & 1 else (j, i) for b, (i, j) in enumerate(pairs)])
+
+
+def test_criterion_10_every_tournament_up_to_6():
+    # the theorem covers every tournament, and the labels depend on vertex numbers, so every labelled one is
+    # built, not one per isomorphism class; dominance and is_balanced read one cached oracle sweep of the set
+    failures = []
+    counts = []
+    start = time.perf_counter()
+    for n in range(1, 7):
+        count = 0
+        for t in _every_tournament(n):
+            d = build_dice(t)
+            if dominance(d) != t or not is_balanced(d):
+                failures.append(f"n={n}: {t!r}")
+            count += 1
+        counts.append(count)
+    elapsed = time.perf_counter() - start
+    assert counts == [1, 2, 8, 64, 1024, 32768]  # 2^(n(n-1)/2) each, 33,867 in all
+    ok = not failures
+    _report(10, ok, f"all {sum(counts)} labelled tournaments on n <= 6 realized and balanced ({elapsed:.1f} s)")
     assert not failures, failures[:5]

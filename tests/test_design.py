@@ -220,3 +220,21 @@ def test_dice_build_walks_rows_not_stored_rounds():
         )
     ]
     assert direct == []
+
+
+def test_value_protocol_is_defined_once():
+    """One class defines the read-only value protocol; ``DiceSet``, ``Tournament`` and ``OneFactorization`` inherit it.
+
+    Assignment and deletion refused, equality and hash by fields: a second
+    copy of any of these would let the three value types drift apart.
+    """
+    protocol = ("__setattr__", "__delattr__", "__eq__", "__hash__")
+    defs = [(module, scope, node.name) for module, scope, node in _nodes() if isinstance(node, ast.FunctionDef)]
+    definers = {name: {(module, scope) for module, scope, found in defs if found == name} for name in protocol}
+    assert definers == {name: {("_value.py", "_Value")} for name in protocol}
+
+
+def test_json_is_decoded_by_one_function():
+    # json.loads or a bare loads: both parsers read JSON through _json_object, which pauses the collector
+    callers = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "loads"}
+    assert callers == {("tournament.py", "_json_object")}

@@ -1,5 +1,6 @@
 """Tests for dice construction, the face-win oracle, and verification."""
 
+import gc
 import hashlib
 import tracemalloc
 from bisect import bisect_left
@@ -820,3 +821,24 @@ class TestDiceFormats:
         for cell in ("x", "\u0663", " 2 ", "+4"):  # only plain ASCII digits are labels
             with pytest.raises(ParseError):
                 parse_dice(f"1,{cell}\n5,6\n".encode(), "csv")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "data",
+    [b'{"dice":[[1],[2]]}', b'{"dice":[[1],[2]]', b'{"dice":' + b"[" * 100_000],
+    ids=["good", "bad-json", "too-deep"],
+)
+def test_json_parse_leaves_the_collector_as_it_found_it(enabled, data):
+    # parse_dice pauses the collector around json.loads, as parse_tournament does, and must restore it on every exit
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if data.endswith(b"}"):
+            assert parse_dice(data, "json") == dice_set([[1], [2]])
+        else:
+            with pytest.raises(ParseError, match="bad JSON"):
+                parse_dice(data, "json")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
