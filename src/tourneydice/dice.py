@@ -37,9 +37,9 @@ class DiceSet(_Value):
 
     _fields = ("faces",)
 
-    # True only on a set made by dice_set, whose labels it checked; compact_labels trusts it,
-    # and nothing else reads it: the oracle revalidates every set itself
-    _labels_checked = False
+    # the largest label, on a set made by _checked_set, which checked its labels, and 0 on any other;
+    # only compact_labels trusts it, to return a checked set labelled 1..N as it is; the oracle revalidates
+    _checked_top = 0
 
     def __init__(self, faces: tuple[Faces, ...]) -> None:
         object.__setattr__(self, "faces", faces)
@@ -61,7 +61,19 @@ class DiceSet(_Value):
 
 
 def dice_set(faces: Iterable[Sequence[int]]) -> DiceSet:
-    """Validate raw face lists and freeze them into a DiceSet."""
+    """Validate raw face lists and freeze them into a DiceSet, under the one face-label rule.
+
+    Every die has the same nonzero number of faces (else ParseError or SideCountMismatchError), and every
+    label is a plain int >= 1 (else ParseError, naming the first), none repeated (else DuplicateLabelError).
+    """
+    return _checked_set(faces)[0]
+
+
+def _checked_set(faces: Iterable[Sequence[int]]) -> tuple[DiceSet, list[int] | None]:
+    """dice_set's checks, run once: the set, recorded as checked, and its flags, present[x] = 1 iff x is a label.
+
+    Sparse labels (largest over twice their count) get no flags (None): a hash set finds their repeats.
+    """
     frozen = tuple([tuple(die) for die in faces])
     if not frozen:
         raise ParseError("a dice set needs at least one die")
@@ -76,31 +88,20 @@ def dice_set(faces: Iterable[Sequence[int]]) -> DiceSet:
         for x in labels:
             if type(x) is not int or x < 1:  # plain ints only, as vertices: bool and IntEnum are refused
                 raise ParseError(f"face label {x!r} is not a positive integer")
-    top = max(labels)
-    if top <= 2 * len(labels):  # dense labels: flags in a list, not a hash set
-        _presence(labels, len(labels), top)
-    elif len(set(labels)) != len(labels):
+    count, top = len(labels), max(labels)
+    # freed before the flags are made: kept alive beside them, the tracemalloc peak is the same, but glibc places
+    # the flags so that build_large's peak RSS read 42.7-42.8 MB, against 41.6-41.9 MB with the list freed
+    del labels
+    present = None
+    if top <= 2 * count:  # a list, not a bytearray or a set: 3.0, 3.9 and 4.6 ms on a parsed 300-die set
+        present = [0] * (top + 1)
+        for x in chain.from_iterable(frozen):
+            present[x] = 1
+    if (present.count(1) if present else len(set(chain.from_iterable(frozen)))) != count:  # a repeat is flagged once
         raise DuplicateLabelError("face labels are not pairwise distinct")
     d = DiceSet(frozen)
-    object.__setattr__(d, "_labels_checked", True)
-    return d
-
-
-def _presence(labels: Iterable[int], count: int, top: int) -> list[int]:
-    """Flag each of ``count`` plain-int labels in 1..top: ``present[x]`` is 1 iff x is a label.
-
-    Raises :class:`DuplicateLabelError` unless the labels are distinct: a
-    repeated label is flagged once for two faces.  A list, not a bytearray:
-    CPython 3.11 specializes a store into a list index.  On the labels of a
-    parsed 300-die set the list took 3.0 ms, a bytearray 3.9 ms and a set
-    4.6 ms (medians of 30 on CPython 3.11.7, Intel Xeon).
-    """
-    present = [0] * (top + 1)
-    for x in labels:
-        present[x] = 1
-    if present.count(1) != count:
-        raise DuplicateLabelError("face labels are not pairwise distinct")
-    return present
+    object.__setattr__(d, "_checked_top", top)
+    return d, present
 
 
 # probability: the chance that die a rolls the higher number, as a Fraction
@@ -280,30 +281,27 @@ def is_balanced(d: DiceSet) -> bool:
 def compact_labels(d: DiceSet) -> DiceSet:
     """Relabel faces with their ranks 1..N, N = n*k; order-preserving, so every matchup is unchanged.
 
-    Refuses what :func:`dice_set` refuses, with the same error: a set that
-    call did not make is passed through it first.  Labels already 1..N are
-    their own ranks, and the checked set comes back as it is; odd n and
-    n = 2 (mod 4) builds are such sets.  Labels no larger than 2N, which
-    an n = 0 (mod 4) build meets by skipping one label per column, are
-    ranked in linear time: a table flags each label present, and its
-    running counts are the ranks.  Sparser labels are sorted and ranked
-    through a dict.
+    Refuses what :func:`dice_set` refuses, with the same error.  A set it
+    made whose largest label is N (odd n and n = 2 (mod 4) builds) comes
+    back as it is, with no pass over its labels.  Any other set goes once
+    through dice_set's checks, whose label flags, when the labels are at
+    most 2N (an n = 0 (mod 4) build skips one per column), give the ranks
+    as running counts; sparser labels are sorted and ranked through a dict.
     """
-    if not d._labels_checked:
-        d = dice_set(d.faces)
-    faces, n_labels = d.faces, d.n * d.sides
-    top = max(chain.from_iterable(faces))
-    if top == n_labels:  # distinct labels 1..N are their own ranks
+    n_labels = d.n * d.sides
+    if 0 < d._checked_top == n_labels:  # checked, so distinct labels 1..N: their own ranks
         return d
-    if top <= 2 * n_labels:
+    d, present = _checked_set(d.faces)
+    if d._checked_top == n_labels:
+        return d
+    if present:
         # present stays bound until return: freeing it before the relabelling lowered the tracemalloc peak
         # at n = 1000 from 56.6 to 48.6 MB, but raised build_large's peak RSS from 39.3 to 41.9 MB
-        present = _presence(chain.from_iterable(faces), n_labels, top)
         rank = list(accumulate(present))  # rank[x]: labels present at or below x
     else:
-        rank = dict(zip(sorted(chain.from_iterable(faces)), range(1, n_labels + 1)))
+        rank = dict(zip(sorted(chain.from_iterable(d.faces)), range(1, n_labels + 1)))
     # one C call per die; itemgetter of a single key returns the bare rank, so a one-face die is mapped by hand
-    faces = [itemgetter(*die)(rank) if len(die) > 1 else tuple([rank[x] for x in die]) for die in faces]
+    faces = [itemgetter(*die)(rank) if len(die) > 1 else tuple([rank[x] for x in die]) for die in d.faces]
     return DiceSet(tuple(faces))
 
 

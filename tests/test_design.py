@@ -53,14 +53,15 @@ def test_tournaments_are_built_only_in_tournament_module():
     assert modules == {"tournament.py"}
 
 
-def test_label_record_is_written_only_by_dice_set_and_read_only_by_compact_labels():
-    """``DiceSet._labels_checked`` says dice_set has checked the labels; only compact_labels may trust it.
+def test_label_record_is_written_only_by_the_label_check_and_read_only_by_compact_labels():
+    """``DiceSet._checked_top`` is the largest label _checked_set found; only compact_labels may trust it.
 
-    It defaults to False on the class, dice_set sets it on the sets it
-    returns, and compact_labels reads it to skip the checks dice_set made.
-    Nothing else names it, so no check of the oracle can come to depend on it.
+    It defaults to 0 on the class, _checked_set (behind dice_set) sets it on
+    the sets it returns, and compact_labels reads it to return a checked set
+    labelled 1..N untouched.  Nothing else names it, so no check of the
+    oracle can come to depend on it.
     """
-    record = "_labels_checked"
+    record = "_checked_top"
     nodes = _nodes()
     written = {
         id(node.args[1])
@@ -75,20 +76,21 @@ def test_label_record_is_written_only_by_dice_set_and_read_only_by_compact_label
             uses.append((module, scope, "read" if isinstance(node.ctx, ast.Load) else "write"))
         elif isinstance(node, ast.Name) and node.id == record:
             uses.append((module, scope, "read" if isinstance(node.ctx, ast.Load) else "assign"))
-    assert sorted(uses) == [
+    assert set(uses) == {
         ("dice.py", "DiceSet", "assign"),
         ("dice.py", "compact_labels", "read"),
-        ("dice.py", "dice_set", "write"),
-    ]
+        ("dice.py", "_checked_set", "write"),
+    }
+    assert uses.count(("dice.py", "DiceSet", "assign")) == uses.count(("dice.py", "_checked_set", "write")) == 1
 
 
-def test_label_rule_is_checked_only_by_dice_set():
-    """The face-label rule, every label a plain int >= 1 and none repeated, has one copy: ``dice_set``'s.
+def test_label_rule_is_checked_only_by_one_function():
+    """The face-label rule, every label a plain int >= 1 and none repeated, has one copy: ``_checked_set``'s.
 
-    Only ``dice_set`` raises the "is not a positive integer" error, and only
-    it and ``_presence``, its repeat check, make a ``DuplicateLabelError``.
-    ``compact_labels`` raises nothing itself and calls ``dice_set`` (on a set
-    that call did not make), so it refuses what ``dice_set`` refuses, alike.
+    Only ``_checked_set`` raises the "is not a positive integer" error and
+    makes a ``DuplicateLabelError``.  ``dice_set`` and ``compact_labels``
+    raise nothing themselves and call it, compact_labels at one site, so
+    both refuse what it refuses, alike.
     """
     nodes = _nodes()
     positive = {
@@ -98,12 +100,38 @@ def test_label_rule_is_checked_only_by_dice_set():
         and any(isinstance(part, ast.Constant) and "is not a positive integer" in str(part.value)
                 for part in ast.walk(node))
     }
-    assert positive == {("dice.py", "dice_set")}
+    assert positive == {("dice.py", "_checked_set")}
     repeats = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "DuplicateLabelError"}
-    assert repeats == {("dice.py", "dice_set"), ("dice.py", "_presence")}
-    compact = [node for module, scope, node in nodes if (module, scope) == ("dice.py", "compact_labels")]
-    assert [node.lineno for node in compact if isinstance(node, ast.Raise)] == []
-    assert any(isinstance(node, ast.Call) and _name(node.func) == "dice_set" for node in compact)
+    assert repeats == {("dice.py", "_checked_set")}
+    for caller in ("dice_set", "compact_labels"):
+        body = [node for module, scope, node in nodes if (module, scope) == ("dice.py", caller)]
+        assert [node.lineno for node in body if isinstance(node, ast.Raise)] == []
+        assert len([node for node in body if isinstance(node, ast.Call) and _name(node.func) == "_checked_set"]) == 1
+
+
+def test_one_function_allocates_a_label_table():
+    """One label-indexed table: the flags ``_checked_set`` makes for its repeat check, handed to compact_labels.
+
+    A list by repetition, ``[0] * size``, is made in dice.py only by
+    ``_label_columns`` (one slot per vertex) and ``_checked_set`` (one slot
+    per label value).  ``compact_labels`` takes no ``max`` of its own and
+    makes no table by repetition, ``bytearray`` or ``array``: it ranks from
+    the flags the check hands over, so a set needing ranks has its labels
+    flagged once.
+    """
+    tables = set()
+    compact = []
+    for module, scope, node in _nodes():
+        if module != "dice.py":
+            continue
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if isinstance(node.left, (ast.List, ast.ListComp)) or isinstance(node.right, (ast.List, ast.ListComp)):
+                tables.add(scope)
+        if scope == "compact_labels":
+            compact.append(node)
+    assert tables == {"_label_columns", "_checked_set"}
+    calls = {_name(node.func) for node in compact if isinstance(node, ast.Call)}
+    assert not calls & {"max", "bytearray", "array", "fromkeys"}
 
 
 def test_shared_sweep_revalidates_every_set_first():

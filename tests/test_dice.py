@@ -753,9 +753,9 @@ class TestCompactLabels:
             assert hashlib.sha256(serialize_dice(compact_labels(source))).hexdigest() == digest
 
     def test_memory_bound_at_n_1000(self):
-        # an n = 0 (mod 4) build skips one label per column; tracemalloc peak on CPython 3.11: 56.6 MB, with
-        # the flags alive beside the ranks (48.6 MB when freed first), against 93.7 MB when such a set was
-        # sorted and relabelled through a rank dict
+        # an n = 0 (mod 4) build skips one label per column; tracemalloc peak on CPython 3.11: 56.6 MB, the
+        # check's flags alive beside the ranks (48.6 MB when freed first), the same when the check and the
+        # ranking flagged the labels apart, against 93.7 MB when such a set was sorted and ranked through a dict
         d = build_dice(random_tournament(1000, 1))
         tracemalloc.start()
         try:
@@ -768,8 +768,8 @@ class TestCompactLabels:
 
     def test_memory_bound_at_n_1001(self):
         # the labels of an odd build are already 1..n*k, which needs no rank table; tracemalloc peak on
-        # CPython 3.11: 16.5 MB, dice_set's label list and flags (8.0 MB when compact_labels kept its own
-        # checks), against 48.6 MB when such a set was ranked through a table of running counts
+        # CPython 3.11: 8.5 MB, the check's flags, its label list freed first (16.5 MB with both alive),
+        # against 48.6 MB when such a set was ranked through a table of running counts
         d = build_dice(random_tournament(1001, 1))
         tracemalloc.start()
         try:
@@ -778,7 +778,7 @@ class TestCompactLabels:
         finally:
             tracemalloc.stop()
         assert c == d
-        assert peak <= 25 * 10**6
+        assert peak <= 12 * 10**6
 
 
 class TestDiceFormats:
