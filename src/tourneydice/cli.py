@@ -68,8 +68,6 @@ def _load_dice(path: str) -> DiceSet:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.n > MAX_N:
-        raise ValueError(f"n = {args.n} is over the limit of {MAX_N}")
     if args.kind == "transitive":
         t = transitive(args.n)
     elif args.kind == "almost-transitive":
@@ -91,8 +89,6 @@ def _format_rounds_table(f: OneFactorization) -> str:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    if args.n > MAX_N:
-        raise ValueError(f"n = {args.n} is over the limit of {MAX_N}")
     f = odd_rounds(args.n) if args.n % 2 == 1 else even_rounds(args.n)
     if args.format == "json":
         payload = {"n": f.n, "parity": f.parity, "rounds": f.rounds}  # json writes tuples as arrays
@@ -206,6 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "n", 0) > MAX_N:  # gen and factor take --n; refused here, before they allocate
+            raise ValueError(f"n = {args.n} is over the limit of {MAX_N}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split())  # one line, even if the error echoes input

@@ -187,18 +187,14 @@ def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
 
 def build_odd(t: Tournament) -> DiceSet:
     """Odd-n construction: n dice with n sides, column i labelled by round i of :func:`odd_rounds`."""
-    if t.n % 2 == 0:
-        raise ParityError(f"odd construction needs odd n, got {t.n}")
     if t.n == 1:
         return DiceSet(((1,),))
-    return _label_columns(t, odd_rounds(t.n))
+    return _label_columns(t, odd_rounds(t.n))  # odd_rounds raises the ParityError for an even n
 
 
 def build_even_2mod4(t: Tournament) -> DiceSet:
     """n = 2 (mod 4) construction: n dice with n-1 sides, column i labelled by round i of :func:`even_rounds`."""
-    if t.n % 4 != 2:
-        raise ParityError(f"this construction needs n = 2 (mod 4), got {t.n}")
-    return _label_columns(t, even_rounds(t.n))
+    return _label_columns(t, even_rounds(t.n))  # even_rounds raises the ParityError for any other n
 
 
 def build_0mod4(t: Tournament) -> DiceSet:

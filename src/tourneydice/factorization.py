@@ -90,7 +90,7 @@ def _derived(n: int) -> OneFactorization:
 
 def odd_rounds(n: int) -> OneFactorization:
     """Round i pairs up {i+j, i-j} mod n for j = 1..(n-1)/2; vertex i sits out."""
-    if n < 3 or n % 2 == 0:
+    if type(n) is not int or n < 3 or n % 2 == 0:
         raise ParityError(f"odd construction needs odd n >= 3, got {n}")
     return _derived(n)
 
@@ -101,7 +101,7 @@ def even_rounds(n: int) -> OneFactorization:
     The pair {i, n} goes into the middle column (n+2)/4 of round i; the
     (n-2)/4 circle-method pairs before it and after it keep their order.
     """
-    if n < 2 or n % 4 != 2:
+    if type(n) is not int or n < 2 or n % 4 != 2:
         raise ParityError(f"even construction needs n = 2 (mod 4), got {n}")
     return _derived(n)
 
@@ -124,25 +124,22 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
     from round v, (d) even case: every vertex plays every round and each
     vertex other than n lands exactly twice in every non-middle column.
     """
-    failures: list[str] = []
-    checks: list[tuple[str, bool]] = []
+    found: dict[str, list[str]] = {}  # each check's name -> its failures, in the order the checks are reported
 
     edge_counts = Counter(pair for row in f.rounds for pair in row)
     expected = set(combinations(range(1, f.n + 1), 2))
-    bad_edges = []
+    bad_edges = found["edges_partitioned"] = []
     for e in expected:
         if edge_counts.get(e, 0) != 1:
             bad_edges.append(f"edge {e} appears {edge_counts.get(e, 0)} times")
     for e in edge_counts:
         if e not in expected:
             bad_edges.append(f"unexpected pair {e}")
-    checks.append(("edges_partitioned", not bad_edges))
-    failures.extend(bad_edges)
 
     odd = f.parity == "odd"
     vertices = set(range(1, f.n + 1))
-    bad_rounds = []
-    bad_presence = []
+    bad_rounds = found["rounds_are_matchings"] = []
+    bad_presence = found["one_absence_per_round" if odd else "all_vertices_every_round"] = []
     for i, row in enumerate(f.rounds, start=1):
         members = [v for pair in row for v in pair]
         if len(members) != len(set(members)):
@@ -151,16 +148,11 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
         if absent != ({i} if odd else set()):
             suffix = f", expected [{i}]" if odd else ""
             bad_presence.append(f"round {i} missing vertices {sorted(absent)}{suffix}")
-    checks.append(("rounds_are_matchings", not bad_rounds))
-    failures.extend(bad_rounds)
-    presence = "one_absence_per_round" if odd else "all_vertices_every_round"
-    checks.append((presence, not bad_presence))
-    failures.extend(bad_presence)
 
     if not odd:
         middle = (f.n + 2) // 4
         width = len(f.rounds[0]) if f.rounds else 0
-        bad_columns = []
+        bad_columns = found["twice_per_column"] = []
         for j in range(1, width + 1):
             if j == middle:
                 continue
@@ -170,7 +162,6 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
                     bad_columns.append(
                         f"vertex {v} appears {occurrence.get(v, 0)} times in column {j}, expected 2"
                     )
-        checks.append(("twice_per_column", not bad_columns))
-        failures.extend(bad_columns)
 
-    return PartitionReport(f.n, f.parity, tuple(checks), tuple(failures))
+    checks = tuple([(name, not failed) for name, failed in found.items()])
+    return PartitionReport(f.n, f.parity, checks, tuple([failure for failed in found.values() for failure in failed]))

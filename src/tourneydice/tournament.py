@@ -44,9 +44,6 @@ class Tournament(_Value):
         """True if i beats j; False for any vertex outside 1..n."""
         return 0 < i <= self.n and 0 < j and self.rows[i - 1] >> (j - 1) & 1 == 1
 
-    def out_degree(self, v: int) -> int:
-        return self.rows[v - 1].bit_count() if 0 < v <= self.n else 0
-
     @property
     def edges(self) -> frozenset[Edge]:
         return frozenset(self._row_order())
@@ -72,16 +69,21 @@ def from_edges(n: int, beats: Iterable[Edge]) -> Tournament:
     after the last edge, the first pair with no direction.  Nothing of size
     n is allocated for fewer than n(n-1)/2 edges.
     """
-    if type(n) is not int:
-        raise VertexOutOfRangeError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise VertexOutOfRangeError(f"n must be positive, got {n}")
+    _check_vertex_count(n)
     edges = beats if isinstance(beats, (list, tuple)) else list(beats)
     # n(n-1)/2 edges that orient every pair once repeat none; a shorter or longer list has a fault
     t = _drawn(n, edges) if len(edges) == n * (n - 1) // 2 else None
     if t is None:
         raise _first_fault(n, edges)
     return t
+
+
+def _check_vertex_count(n: int) -> None:
+    """Refuse a vertex count that is not a plain ``int`` (``bool`` and ``float`` included) of at least 1."""
+    if type(n) is not int:
+        raise VertexOutOfRangeError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise VertexOutOfRangeError(f"n must be positive, got {n}")
 
 
 def _drawn(n: int, edges: Sequence[Edge]) -> Tournament | None:
@@ -137,6 +139,7 @@ def _blank(n: int) -> tuple[bytearray, list[int]]:
 
     ``row`` is a list, not a range, so that indexing it makes no new int.
     """
+    _check_vertex_count(n)
     return bytearray(b"0") * (n * n), list(range(-n - 1, n * n, n))
 
 
@@ -149,8 +152,6 @@ def _bit_rows(n: int, cells: bytes | bytearray) -> tuple[int, ...]:
 
 def _oriented(n: int, keep: Callable[[int, int], object]) -> Tournament:
     """Orient every pair i < j, in lexicographic order: i -> j where keep(i, j) is true, else j -> i."""
-    if n < 1:
-        raise VertexOutOfRangeError(f"n must be positive, got {n}")
     cells, row = _blank(n)
     for i, j in combinations(range(1, n + 1), 2):
         cells[row[i] + j if keep(i, j) else row[j] + i] = _ONE
@@ -188,10 +189,8 @@ def random_tournament(n: int, seed: int) -> Tournament:
     """
     import random  # loaded here, not at import: no other call needs it
 
-    if n < 1:
-        raise VertexOutOfRangeError(f"n must be positive, got {n}")
-    rng = random.Random(seed)
     cells, row = _blank(n)
+    rng = random.Random(seed)
     for i in range(1, n):
         w = n - i
         # the top byte of each 32-bit word, whose bit 7 is the word's top bit
@@ -207,6 +206,7 @@ def paley(p: int) -> Tournament:
         raise NotPrimeError(f"{p} is not prime")
     if p % 4 != 3:
         raise WrongResidueClassError(f"{p} is not 3 mod 4")
+    _check_vertex_count(p)  # after the checks above, so that paley(0) and paley(True) are not prime
     residues = {(x * x) % p for x in range(1, p)}
     return _oriented(p, lambda i, j: (j - i) % p in residues)
 

@@ -266,3 +266,37 @@ def test_json_is_decoded_by_one_function():
     # json.loads or a bare loads: both parsers read JSON through _json_object, which pauses the collector
     callers = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "loads"}
     assert callers == {("tournament.py", "_json_object")}
+
+
+def test_each_input_rule_is_refused_at_one_site():
+    """The residue rule, the vertex-count rule and the CLI size cap each have one copy, so no two can drift apart.
+
+    ``ParityError(...)`` is made only by the rounds functions, which hold the
+    residue rule for build_odd and build_even_2mod4 too, and by build_0mod4,
+    whose rule is written nowhere else.  Both vertex-count messages are raised
+    by one tournament.py function, which from_edges, _blank and paley call,
+    and the CLI raises its size cap at one site.
+    """
+    parity = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "ParityError"}
+    assert parity == {
+        ("factorization.py", "odd_rounds"),
+        ("factorization.py", "even_rounds"),
+        ("dice.py", "build_0mod4"),
+    }
+
+    def raised(text):
+        return [
+            (module, scope)
+            for module, scope, node in _nodes()
+            if isinstance(node, ast.Raise)
+            and any(isinstance(part, ast.Constant) and text in str(part.value) for part in ast.walk(node))
+        ]
+
+    (integer,) = raised("n must be an integer, got")
+    (positive,) = raised("n must be positive, got")
+    assert integer == positive and integer[0] == "tournament.py"
+    guard = integer[1]
+    callers = {(module, scope) for module, scope, call in _calls() if _name(call.func) == guard}
+    assert callers == {("tournament.py", "from_edges"), ("tournament.py", "_blank"), ("tournament.py", "paley")}
+    (cap,) = raised("is over the limit of")
+    assert cap[0] == "cli.py"

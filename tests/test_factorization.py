@@ -65,7 +65,7 @@ class TestOddRounds:
     def test_n9_structurally_valid(self):
         check_partition_brute_force(odd_rounds(9))
 
-    @pytest.mark.parametrize("n", [2, 4, 10])
+    @pytest.mark.parametrize("n", [2, 4, 10, 3.0])  # 3.0 at the call, not as a TypeError when rounds are read
     def test_even_n_rejected(self, n):
         with pytest.raises(ParityError):
             odd_rounds(n)
@@ -93,7 +93,7 @@ class TestEvenRounds:
             for i, row in enumerate(f.rounds, start=1):
                 assert row[middle - 1] == (i, n)
 
-    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("n", [4, 8, 12, 6.0])  # 6.0 at the call, not as a TypeError when rounds are read
     def test_multiple_of_four_rejected(self, n):
         with pytest.raises(ParityError):
             even_rounds(n)

@@ -152,6 +152,33 @@ class TestGenerators:
     def test_random_single_vertex(self):
         assert random_tournament(1, 3).edges == frozenset()
 
+    @pytest.mark.parametrize(
+        "make, n",
+        [
+            (transitive, True),
+            (transitive, 2.0),
+            (lambda n: random_tournament(n, 1), True),
+            (lambda n: random_tournament(n, 1), 2.0),
+            (almost_transitive, 3.0),
+            (paley, 7.0),
+        ],
+        ids=["transitive-bool", "transitive-float", "random-bool", "random-float", "almost-float", "paley-float"],
+    )
+    def test_non_integer_n_refused(self, make, n):
+        # the n that from_edges and so the parsers refuse: no generator builds a tournament they would not read
+        with pytest.raises(VertexOutOfRangeError) as info:
+            make(n)
+        assert str(info.value) == f"n must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize(
+        "make, n, error",
+        [(paley, 0, NotPrimeError), (paley, True, NotPrimeError), (almost_transitive, True, NTooSmallError)],
+        ids=["paley-0", "paley-bool", "almost-bool"],
+    )
+    def test_generator_checks_come_before_the_vertex_count(self, make, n, error):
+        with pytest.raises(error):
+            make(n)
+
 
 class TestPaley:
     def test_p3_is_three_cycle(self):
@@ -177,7 +204,7 @@ class TestPaley:
     def test_out_degrees(self, p):
         t = paley(p)
         assert_complete(t)
-        assert all(t.out_degree(v) == (p - 1) // 2 for v in range(1, p + 1))
+        assert all(t.rows[v - 1].bit_count() == (p - 1) // 2 for v in range(1, p + 1))
 
 
 class TestFormats:
@@ -243,8 +270,8 @@ def test_random_tournaments_are_complete(n, seed):
     assert_complete(t)
     for v in range(1, n + 1):
         assert not any(t.beats(v, w) or t.beats(w, v) for w in (0, n + 1))
-        assert t.out_degree(v) == sum(t.beats(v, j) for j in range(1, n + 1))
-    assert sum(t.out_degree(v) for v in range(1, n + 1)) == n * (n - 1) // 2
+        assert t.rows[v - 1].bit_count() == sum(t.beats(v, j) for j in range(1, n + 1))
+    assert sum(t.rows[v - 1].bit_count() for v in range(1, n + 1)) == n * (n - 1) // 2
 
 
 def test_random_tournament_memory():
