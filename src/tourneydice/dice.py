@@ -26,7 +26,7 @@ from .errors import (
     SideCountMismatchError,
     TieDetectedError,
 )
-from .factorization import OneFactorization, even_rounds, odd_rounds
+from .factorization import OneFactorization, _rows, even_rounds, odd_rounds
 from .tournament import Tournament, _json_object, _oriented, _with_top
 
 Faces = tuple[int, ...]
@@ -170,7 +170,7 @@ def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
     bits = [""] + [bin(row << 1 | top)[:2:-1] for row in t.rows]
     label = 1
     columns = []
-    for i, row in enumerate(f._rows(), start=1):  # from odd_rounds or even_rounds: off the formula, none stored
+    for i, row in enumerate(_rows(f.n), start=1):  # off the circle formula, none stored
         column = [0] * (n + 1)  # column[v] is die v's label; slot 0 is unused
         if n % 2:
             column[i] = label

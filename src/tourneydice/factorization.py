@@ -11,7 +11,7 @@ what makes the left/right counts come out symmetric for pairs involving n.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain, combinations, islice
 
@@ -26,7 +26,8 @@ class OneFactorization(_Value):
 
     Rounds given to the constructor are kept as given.  A factorization made
     by :func:`odd_rounds` or :func:`even_rounds` holds only n, and derives
-    its rounds from the circle method when they are first read.
+    its rounds from the circle method when they are first read, each pair
+    written low vertex first.
     """
 
     _fields = ("n", "rounds")
@@ -38,13 +39,7 @@ class OneFactorization(_Value):
     @cached_property
     def rounds(self) -> tuple[tuple[Pair, ...], ...]:
         """The circle-method rounds as tuples, built on first read and kept; only derived factorizations get here."""
-        return tuple([tuple([*row]) for row in self._rows()])
-
-    def _rows(self) -> Iterator[Iterable[Pair]]:
-        """Round by round, the round's pairs: the stored rounds if any, else straight from the circle method."""
-        if "rounds" in self.__dict__:
-            return iter(self.rounds)
-        return _odd_rows(self.n) if self.n % 2 else _even_rows(self.n)
+        return tuple([tuple([(a, b) if a < b else (b, a) for a, b in row]) for row in _rows(self.n)])
 
     @property
     def parity(self) -> str:
@@ -52,26 +47,22 @@ class OneFactorization(_Value):
         return "odd" if self.n % 2 else "even"
 
 
-def _odd_rows(m: int) -> Iterator[Iterator[Pair]]:
-    """Circle method on K_m, odd m >= 1: round i pairs {i+j, i-j} mod m for j = 1..(m-1)/2.
+def _rows(n: int) -> Iterator[Iterator[Pair]]:
+    """Round by round, the round's pairs straight from the circle method, each pair in either orientation."""
+    return _odd_rows(n) if n % 2 else _even_rows(n)
 
-    Yields, round by round, an iterator over the round's pairs.  Each round
-    is a run of j for which neither i+j nor i-j wraps, giving (i-j, i+j),
-    then a run where i-j wraps, giving (i+j, i-j+m), or one where i+j
-    wraps, giving (i+j-m, i-j); each run zips two slices of one vertex
-    list, so every pair is ordered, all rounds share its ints, and nothing
-    is stored: a caller that unpacks each pair lets ``zip`` reuse its tuple.
+
+def _odd_rows(m: int) -> Iterator[Iterator[Pair]]:
+    """Circle method on K_m, odd m >= 1: round i pairs i-j with i+j (mod m) in column j, for j = 1..(m-1)/2.
+
+    Yields, round by round, one zip of two slices of a doubled vertex list,
+    so all rounds share its ints and nothing is stored: a caller that
+    unpacks each pair lets ``zip`` reuse its tuple.
     """
     h = (m - 1) // 2
-    v = list(range(m + 1))  # v[x] is x
+    v = list(range(1, m + 1)) * 2  # v[x - 1] is x mod m, written in 1..m, for x = 1..2m
     for i in range(1, m + 1):
-        if i <= h:  # j = i..h: i-j wraps
-            c = i - 1
-            wrapped = zip(v[2 * i : i + h + 1], v[m : m + i - h - 1 : -1])
-        else:  # j = m-i+1..h: i+j wraps
-            c = m - i
-            wrapped = zip(v[1 : i + h - m + 1], v[2 * i - m - 1 : i - h - 1 : -1])
-        yield chain(zip(v[i - 1 : i - c - 1 : -1], v[i + 1 : i + c + 1]), wrapped)  # j = 1..c: no wrap
+        yield zip(v[i + m - 2 : i + m - h - 2 : -1], v[i : i + h])
 
 
 def _even_rows(n: int) -> Iterator[Iterator[Pair]]:
@@ -123,7 +114,39 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
     (b) each round is a matching, (c) odd case: vertex v is absent exactly
     from round v, (d) even case: every vertex plays every round and each
     vertex other than n lands exactly twice in every non-middle column.
+    Rounds that cannot be read as rounds of pairs fail one check instead,
+    ``rounds_hold_pairs``, whose failure names the first entry at fault.
     """
+    try:
+        return _partition_report(f)
+    except TypeError:
+        fault = _malformed(f.rounds)
+        if fault is None:
+            raise
+    return PartitionReport(f.n, f.parity, (("rounds_hold_pairs", False),), (fault,))
+
+
+def _malformed(rounds: object) -> str | None:
+    """Where rounds first fail to read as rounds of hashable pairs, or None if they read."""
+    try:
+        rows = iter(rounds)
+    except TypeError:
+        return f"rounds are {rounds!r}, not a sequence of rounds"
+    for i, row in enumerate(rows, start=1):
+        try:
+            entries = iter(row)
+        except TypeError:
+            return f"round {i} is {row!r}, not a sequence of pairs"
+        for j, pair in enumerate(entries, start=1):
+            try:
+                hash((pair, *pair))  # the pair and each of its vertices is a key of a Counter or set
+            except TypeError:
+                return f"round {i} column {j} holds {pair!r}, not a pair"
+    return None
+
+
+def _partition_report(f: OneFactorization) -> PartitionReport:
+    """:func:`verify_partition` on rounds of hashable pairs; a ``TypeError`` on anything else."""
     found: dict[str, list[str]] = {}  # each check's name -> its failures, in the order the checks are reported
 
     edge_counts = Counter(pair for row in f.rounds for pair in row)

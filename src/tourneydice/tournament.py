@@ -65,9 +65,10 @@ def from_edges(n: int, beats: Iterable[Edge]) -> Tournament:
     ``float``); vertices lie in 1..n.  Every unordered pair {i, j} must
     appear exactly once, in exactly one direction.  ``beats`` may be any
     iterable of (winner, loser) pairs.  Faults are reported in edge order:
-    per edge a self-loop, then a vertex outside 1..n, then a repeated pair;
-    after the last edge, the first pair with no direction.  Nothing of size
-    n is allocated for fewer than n(n-1)/2 edges.
+    per edge an entry that is not a pair, then a self-loop, then a vertex
+    outside 1..n, then a repeated pair; after the last edge, the first pair
+    with no direction.  Nothing of size n is allocated for fewer than
+    n(n-1)/2 edges.
     """
     _check_vertex_count(n)
     edges = beats if isinstance(beats, (list, tuple)) else list(beats)
@@ -106,7 +107,11 @@ def _drawn(n: int, edges: Sequence[Edge]) -> Tournament | None:
 def _first_fault(n: int, edges: Sequence[Edge]) -> InvalidTournamentError:
     """The fault :func:`from_edges` reports for edges that are not one tournament on 1..n."""
     seen: set[Edge] = set()
-    for i, j in edges:
+    for entry in edges:
+        try:
+            i, j = entry
+        except (TypeError, ValueError):  # an entry that does not unpack into two values
+            return ParseError(f"bad edge entry {entry!r}")
         if i == j:
             return SelfLoopError(f"self-loop at vertex {i}")
         if type(i) is not int or type(j) is not int:

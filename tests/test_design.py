@@ -209,7 +209,7 @@ def test_imports_that_slow_every_start_are_absent_or_deferred():
 def test_dice_build_walks_rows_not_stored_rounds():
     """No module but ``factorization.py`` reads ``.rounds`` to build dice, and no ``tuple()`` takes a row directly.
 
-    ``_label_columns`` walks ``OneFactorization._rows``, which reads each
+    ``_label_columns`` walks ``factorization._rows(n)``, which reads each
     round's pairs off the circle formula, so a build stores no round; only
     the CLI's ``factor`` output reads ``.rounds`` outside that module.  Where
     the rows are turned into tuples, each goes through a list first, as

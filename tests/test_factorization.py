@@ -13,6 +13,7 @@ from tourneydice import (
     odd_rounds,
     verify_partition,
 )
+from tourneydice import factorization
 from tourneydice.errors import ParityError
 
 from left_counts import left_count
@@ -254,6 +255,22 @@ def test_partition_failure_texts_pinned():
     assert digest == "f530a9036d3d8f96acf013a6c497c414a6932613aed8374d76e6fc76af3068d5"
 
 
+@pytest.mark.parametrize(
+    "rounds, failure",
+    [
+        (((1, 2),), "round 1 column 1 holds 1, not a pair"),
+        ((([1, 2],),), "round 1 column 1 holds [1, 2], not a pair"),
+        (5, "rounds are 5, not a sequence of rounds"),
+    ],
+    ids=["ints_for_pairs", "list_pair", "rounds_not_iterable"],
+)
+def test_partition_malformed_rounds_reported(rounds, failure):
+    report = verify_partition(OneFactorization(4, rounds))  # a report naming the entry, not a TypeError
+    assert not report.ok
+    assert report.checks == (("rounds_hold_pairs", False),)
+    assert report.failures == (failure,)
+
+
 def test_partition_short_later_round_reported():
     f = OneFactorization(6, even_rounds(6).rounds[:-1] + (((1, 2),),))
     report = verify_partition(f)  # round 5 has no column 3: a failure, not an IndexError
@@ -336,17 +353,16 @@ class TestDerivedRounds:
     @pytest.mark.parametrize("make, n, frozen", CASES, ids=[f"n{n}" for _, n, _ in CASES])
     def test_rows_match_rounds_row_by_row(self, make, n, frozen):
         f = make(n)
-        rows = f._rows()
+        rows = factorization._rows(n)
         assert "rounds" not in f.__dict__  # rows read straight off the formula store nothing
-        for i, (row, stored) in enumerate(zip(rows, make(n).rounds, strict=True), start=1):
-            assert tuple([*row]) == stored, (n, i)
+        for i, (row, stored) in enumerate(zip(rows, frozen(n), strict=True), start=1):
+            assert tuple([(a, b) if a < b else (b, a) for a, b in row]) == stored, (n, i)
         assert "rounds" not in f.__dict__
 
     def test_rounds_derived_once_and_kept(self):
         f = odd_rounds(9)
         assert "rounds" not in f.__dict__
         assert f.rounds is f.rounds and f.__dict__["rounds"] is f.rounds
-        assert list(f._rows()) == list(f.rounds)  # once stored, the rows are the stored tuples
         with pytest.raises(AttributeError):
             del f.rounds
 
@@ -354,4 +370,3 @@ class TestDerivedRounds:
         given_rounds = ROUNDS_7[::-1]
         f = OneFactorization(7, given_rounds)
         assert f.rounds is given_rounds
-        assert list(f._rows()) == list(given_rounds)  # not the circle method's order

@@ -394,6 +394,10 @@ MALFORMED = [
     (from_edges, 3, [(0, 1), (2, 3)]),
     (from_edges, 3, [(2, 1), (1, 2), (2, 2)]),  # duplicate before self-loop
     (from_edges, 3, [(1, 2), (2, 3), (1, 3), (3, 1), (3, 3)]),
+    (from_edges, 3, [5]),  # entries that are not pairs, named in edge order
+    (from_edges, 3, [(1, 2, 3)]),
+    (from_edges, 3, [(1, 2), (2, 3), (1,)]),
+    (from_edges, 3, [None]),
     (parse_tournament, b"0 2\n1 1", "matrix"),  # bad entry before diagonal
     (parse_tournament, b"1 0\n1 0", "matrix"),  # diagonal before duplicate
     (parse_tournament, b"0 1 1\n0 0 1\n0 1 0", "matrix"),
@@ -421,6 +425,10 @@ MALFORMED_DIAGNOSTICS = [
     ("VertexOutOfRangeError", "edge (0,1) outside 1..3"),
     ("DuplicateEdgeError", "pair {1,2} oriented twice"),
     ("DuplicateEdgeError", "pair {1,3} oriented twice"),
+    ("ParseError", "bad edge entry 5"),
+    ("ParseError", "bad edge entry (1, 2, 3)"),
+    ("ParseError", "bad edge entry (1,)"),
+    ("ParseError", "bad edge entry None"),
     ("ParseError", "entry (1,2) is '2', expected 0 or 1"),
     ("SelfLoopError", "self-loop at vertex 1"),
     ("DuplicateEdgeError", "pair {2,3} oriented twice"),
