@@ -225,22 +225,27 @@ class VerificationReport(namedtuple("VerificationReport", "realized balance_ok m
 
 
 def verify_realization(d: DiceSet, t: Tournament) -> VerificationReport:
-    """Check every pair's matchup against t and the uniform-balance property."""
+    """Check every pair's matchup against t and the uniform-balance property, in one pass over d's cached sweep."""
     if d.n != t.n:
         return VerificationReport(
             False, False, (), (f"dice count {d.n} != tournament size {t.n}",)
         )
-    evidence = []
-    for i, j, wins_i, wins_j in d._pair_wins:
-        expected = i if t.beats(i, j) else j
-        ok = (wins_i > wins_j) if expected == i else (wins_j > wins_i)
-        evidence.append(PairEvidence(i, j, expected, wins_i, wins_j, ok))
-    failures = tuple([
-        f"pair ({e.i},{e.j}): expected {e.expected_winner} to win, face wins {e.wins_i}-{e.wins_j}"
-        for e in evidence
-        if not e.ok
+    rows = t.rows  # bit j-1 of rows[i-1] is set iff i beats j
+    # tuple.__new__ is what PairEvidence(...) runs, without the call through the namedtuple's Python-level __new__
+    evidence = tuple([
+        tuple.__new__(
+            PairEvidence,
+            (i, j, i, wins_i, wins_j, wins_i > wins_j) if rows[i - 1] >> (j - 1) & 1
+            else (i, j, j, wins_i, wins_j, wins_j > wins_i),
+        )
+        for i, j, wins_i, wins_j in d._pair_wins
     ])
-    return VerificationReport(not failures, is_balanced(d), tuple(evidence), failures)
+    failures = tuple([
+        f"pair ({i},{j}): expected {winner} to win, face wins {wins_i}-{wins_j}"
+        for i, j, winner, wins_i, wins_j, ok in evidence
+        if not ok
+    ])
+    return VerificationReport(not failures, is_balanced(d), evidence, failures)
 
 
 class WinsAudit(namedtuple("WinsAudit", "sides loser_wins winner_wins failures")):
@@ -254,24 +259,34 @@ class WinsAudit(namedtuple("WinsAudit", "sides loser_wins winner_wins failures")
 
 
 def guaranteed_wins_audit(d: DiceSet, t: Tournament) -> WinsAudit:
-    """Check every winner gets exactly (k^2+1)/2 face wins and every loser (k^2-1)/2, from d's one cached sweep."""
+    """Check every winner gets exactly (k^2+1)/2 face wins and every loser (k^2-1)/2.
+
+    One pass over d's cached sweep, reading the expected winner off t's
+    rows; it does not run :func:`verify_realization`.
+    """
     k = d.sides
-    report = verify_realization(d, t)
-    failures = [] if report.matchups else list(report.failures)  # size mismatch: no pair judged
-    for e in report.matchups:
-        w, l = (e.wins_i, e.wins_j) if e.expected_winner == e.i else (e.wins_j, e.wins_i)
-        if 2 * w != k * k + 1 or 2 * l != k * k - 1:
+    top, bottom = k * k + 1, k * k - 1
+    if d.n != t.n:  # no pair judged
+        return WinsAudit(k, bottom // 2, top // 2, (f"dice count {d.n} != tournament size {t.n}",))
+    rows = t.rows
+    failures = []
+    for i, j, wins_i, wins_j in d._pair_wins:
+        if rows[i - 1] >> (j - 1) & 1:
+            winner, w, l = i, wins_i, wins_j
+        else:
+            winner, w, l = j, wins_j, wins_i
+        if 2 * w != top or 2 * l != bottom:
             failures.append(
-                f"pair ({e.i},{e.j}): winner {e.expected_winner} has {w} wins, loser has {l},"
-                f" expected {(k * k + 1) // 2} and {(k * k - 1) // 2}"
+                f"pair ({i},{j}): winner {winner} has {w} wins, loser has {l},"
+                f" expected {top // 2} and {bottom // 2}"
             )
-    return WinsAudit(k, (k * k - 1) // 2, (k * k + 1) // 2, tuple(failures))
+    return WinsAudit(k, bottom // 2, top // 2, tuple(failures))
 
 
 def is_balanced(d: DiceSet) -> bool:
     """True iff every matchup is decided with probability exactly 1/2 + 1/(2k^2)."""
-    k = d.sides
-    return all(2 * max(wins_i, wins_j) == k * k + 1 for _, _, wins_i, wins_j in d._pair_wins)
+    top = d.sides ** 2 + 1
+    return all(2 * (wins_i if wins_i > wins_j else wins_j) == top for _, _, wins_i, wins_j in d._pair_wins)
 
 
 def compact_labels(d: DiceSet) -> DiceSet:

@@ -11,7 +11,7 @@ what makes the left/right counts come out symmetric for pairs involving n.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from itertools import chain, combinations, islice
 
@@ -120,24 +120,23 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
     try:
         return _partition_report(f)
     except TypeError:
-        fault = _malformed(f.rounds)
+        fault = _malformed(f)
         if fault is None:
             raise
-    return PartitionReport(f.n, f.parity, (("rounds_hold_pairs", False),), (fault,))
+    parity = f.parity if type(f.n) is int else None  # a non-int n has no parity to report
+    return PartitionReport(f.n, parity, (("rounds_hold_pairs", False),), (fault,))
 
 
-def _malformed(rounds: object) -> str | None:
-    """Where rounds first fail to read as rounds of hashable pairs, or None if they read."""
-    try:
-        rows = iter(rounds)
-    except TypeError:
-        return f"rounds are {rounds!r}, not a sequence of rounds"
-    for i, row in enumerate(rows, start=1):
-        try:
-            entries = iter(row)
-        except TypeError:
+def _malformed(f: OneFactorization) -> str | None:
+    """The first fault that keeps f's n and rounds from reading as a vertex count and rounds of pairs, or None."""
+    if type(f.n) is not int:
+        return f"n is {f.n!r}, not an integer"
+    if not isinstance(f.rounds, Sequence):  # the checks index rounds and rows, so iterable is not enough
+        return f"rounds are {f.rounds!r}, not a sequence of rounds"
+    for i, row in enumerate(f.rounds, start=1):
+        if not isinstance(row, Sequence):
             return f"round {i} is {row!r}, not a sequence of pairs"
-        for j, pair in enumerate(entries, start=1):
+        for j, pair in enumerate(row, start=1):
             try:
                 hash((pair, *pair))  # the pair and each of its vertices is a key of a Counter or set
             except TypeError:
@@ -149,7 +148,7 @@ def _partition_report(f: OneFactorization) -> PartitionReport:
     """:func:`verify_partition` on rounds of hashable pairs; a ``TypeError`` on anything else."""
     found: dict[str, list[str]] = {}  # each check's name -> its failures, in the order the checks are reported
 
-    edge_counts = Counter(pair for row in f.rounds for pair in row)
+    edge_counts = Counter(chain.from_iterable(f.rounds))
     expected = set(combinations(range(1, f.n + 1), 2))
     bad_edges = found["edges_partitioned"] = []
     for e in expected:
@@ -164,7 +163,7 @@ def _partition_report(f: OneFactorization) -> PartitionReport:
     bad_rounds = found["rounds_are_matchings"] = []
     bad_presence = found["one_absence_per_round" if odd else "all_vertices_every_round"] = []
     for i, row in enumerate(f.rounds, start=1):
-        members = [v for pair in row for v in pair]
+        members = list(chain.from_iterable(row))
         if len(members) != len(set(members)):
             bad_rounds.append(f"round {i} is not a matching")
         absent = vertices.difference(members)

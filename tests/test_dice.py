@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 import tourneydice.dice
 from tourneydice import (
     DiceSet,
+    OneFactorization,
     almost_transitive,
     build_0mod4,
     build_dice,
@@ -22,15 +23,18 @@ from tourneydice import (
     compact_labels,
     dice_set,
     dominance,
+    even_rounds,
     face_wins,
     from_edges,
     guaranteed_wins_audit,
     is_balanced,
     matchup,
+    odd_rounds,
     parse_dice,
     random_tournament,
     serialize_dice,
     transitive,
+    verify_partition,
     verify_realization,
 )
 from tourneydice.errors import (
@@ -449,6 +453,22 @@ class TestAuditsAndBalance:
         tampered = dice_set(faces)
         assert not guaranteed_wins_audit(tampered, t).ok
 
+    def test_audit_on_a_swept_set_allocates_nothing_per_pair(self):
+        # n = 45, 990 pairs: tracemalloc peak on CPython 3.11 is 208-352 bytes reading the sweep directly,
+        # against 111,880 bytes when the audit ran verify_realization and copied out all 990 PairEvidence
+        n = 45
+        t = random_tournament(n, 1)
+        d = build_dice(t)
+        d._pair_wins  # the shared sweep, made once and kept on d
+        tracemalloc.start()
+        try:
+            audit = guaranteed_wins_audit(d, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert audit.ok
+        assert peak < n * n
+
     @pytest.mark.parametrize("dice_n,tournament_n", [(3, 5), (5, 3)])
     def test_audit_size_mismatch(self, dice_n, tournament_n):
         audit = guaranteed_wins_audit(build_dice(transitive(dice_n)), transitive(tournament_n))
@@ -607,6 +627,43 @@ class TestVerifyRealization:
     def test_size_mismatch(self):
         report = verify_realization(EQ1, transitive(4))
         assert not report.realized
+
+    def test_whole_set_reports_pinned(self):
+        # every whole-set check, on sets that are clean, tampered (dice 1 and n swapped), lopsided (die v is
+        # {2v-1, 2v}), tied at even k (die v is {v, 2n+1-v}, so every pair splits 2-2) and size-mismatched;
+        # and verify_partition on the rounds behind each build, as made and with two of their pairs swapped
+        def outcome(check, *args):
+            try:
+                return repr(check(*args))
+            except TieDetectedError as exc:
+                return f"TieDetectedError: {exc}"
+
+        reports = []
+        for n in range(1, 10):
+            t = random_tournament(n, n)
+            clean = build_dice(t)
+            tampered = DiceSet((clean.faces[-1],) + clean.faces[1:-1] + (clean.faces[0],)) if n > 1 else clean
+            lopsided = dice_set([[2 * v - 1, 2 * v] for v in range(1, n + 1)])
+            tied = dice_set([[v, 2 * n + 1 - v] for v in range(1, n + 1)])
+            mismatched = random_tournament(n + 1, n)
+            for d, against in ((clean, t), (tampered, t), (lopsided, t), (tied, t), (clean, mismatched)):
+                reports.append(
+                    (
+                        outcome(verify_realization, d, against),
+                        outcome(guaranteed_wins_audit, d, against),
+                        outcome(dominance, d),
+                        outcome(is_balanced, d),
+                    )
+                )
+            if n > 1:
+                f = even_rounds(n) if n % 4 == 2 else odd_rounds(n + 1 if n % 4 == 0 else n)
+                rows = [list(row) for row in f.rounds]
+                if len(rows) > 1:
+                    rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+                swapped = OneFactorization(f.n, tuple([tuple(row) for row in rows]))
+                reports.append((outcome(verify_partition, f), outcome(verify_partition, swapped)))
+        digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+        assert digest == "5dcc76be058dc4f41a705abda476fc31da45dd590fac31a3e1333c6681411b57"
 
 
 class TestCompactLabels:

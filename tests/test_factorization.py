@@ -255,20 +255,29 @@ def test_partition_failure_texts_pinned():
     assert digest == "f530a9036d3d8f96acf013a6c497c414a6932613aed8374d76e6fc76af3068d5"
 
 
+ROUNDS_6 = even_rounds(6).rounds
+UNORDERED_6 = frozenset(ROUNDS_6)
+SET_ROWS_6 = tuple([frozenset(row) for row in ROUNDS_6])
+
+
 @pytest.mark.parametrize(
-    "rounds, failure",
+    "n, rounds, failure",
     [
-        (((1, 2),), "round 1 column 1 holds 1, not a pair"),
-        ((([1, 2],),), "round 1 column 1 holds [1, 2], not a pair"),
-        (5, "rounds are 5, not a sequence of rounds"),
+        (4, ((1, 2),), "round 1 column 1 holds 1, not a pair"),
+        (4, (([1, 2],),), "round 1 column 1 holds [1, 2], not a pair"),
+        (4, 5, "rounds are 5, not a sequence of rounds"),
+        (6, UNORDERED_6, f"rounds are {UNORDERED_6!r}, not a sequence of rounds"),
+        (6, SET_ROWS_6, f"round 1 is {SET_ROWS_6[0]!r}, not a sequence of pairs"),
+        ("6", ROUNDS_6, "n is '6', not an integer"),
     ],
-    ids=["ints_for_pairs", "list_pair", "rounds_not_iterable"],
+    ids=["ints_for_pairs", "list_pair", "rounds_not_iterable", "rounds_not_indexable", "rows_not_indexable", "n_a_str"],
 )
-def test_partition_malformed_rounds_reported(rounds, failure):
-    report = verify_partition(OneFactorization(4, rounds))  # a report naming the entry, not a TypeError
+def test_partition_malformed_rounds_reported(n, rounds, failure):
+    report = verify_partition(OneFactorization(n, rounds))  # a report naming the entry, not a TypeError
     assert not report.ok
     assert report.checks == (("rounds_hold_pairs", False),)
     assert report.failures == (failure,)
+    assert (report.n, report.parity) == (n, "even" if type(n) is int else None)
 
 
 def test_partition_short_later_round_reported():
