@@ -48,28 +48,21 @@ class OneFactorization(_Value):
 
 
 def _rows(n: int) -> Iterator[Iterator[Pair]]:
-    """Round by round, the round's pairs straight from the circle method, each pair in either orientation."""
-    return _odd_rows(n) if n % 2 else _even_rows(n)
+    """Round by round, the round's pairs straight from the circle method, each pair in either orientation.
 
-
-def _odd_rows(m: int) -> Iterator[Iterator[Pair]]:
-    """Circle method on K_m, odd m >= 1: round i pairs i-j with i+j (mod m) in column j, for j = 1..(m-1)/2.
-
-    Yields, round by round, one zip of two slices of a doubled vertex list,
-    so all rounds share its ints and nothing is stored: a caller that
-    unpacks each pair lets ``zip`` reuse its tuple.
+    The circle method runs on K_m, m = n for odd n and n - 1 for n = 2
+    (mod 4): round i pairs i-j with i+j (mod m) in column j, for
+    j = 1..(m-1)/2.  For even n, (i, n) follows the first (n-2)/4 pairs.
+    Each round is one zip of two slices of a doubled vertex list, so all
+    rounds share its ints and nothing is stored: a caller that unpacks
+    each pair lets ``zip`` reuse its tuple.
     """
-    h = (m - 1) // 2
+    m = n - 1 + n % 2
+    h, lead = (m - 1) // 2, (n - 2) // 4
     v = list(range(1, m + 1)) * 2  # v[x - 1] is x mod m, written in 1..m, for x = 1..2m
     for i in range(1, m + 1):
-        yield zip(v[i + m - 2 : i + m - h - 2 : -1], v[i : i + h])
-
-
-def _even_rows(n: int) -> Iterator[Iterator[Pair]]:
-    """The rounds of :func:`even_rounds`, yielded as :func:`_odd_rows` yields them, for n = 2 (mod 4)."""
-    lead = (n - 2) // 4
-    for i, row in enumerate(_odd_rows(n - 1), start=1):
-        yield chain(islice(row, lead), ((i, n),), row)
+        row = zip(v[i + m - 2 : i + m - h - 2 : -1], v[i : i + h])
+        yield row if n % 2 else chain(islice(row, lead), ((i, n),), row)
 
 
 def _derived(n: int) -> OneFactorization:
@@ -110,42 +103,29 @@ class PartitionReport(namedtuple("PartitionReport", "n parity checks failures"))
 def verify_partition(f: OneFactorization) -> PartitionReport:
     """Check that the rounds partition E(K_n) into matchings with the expected shape.
 
-    Verifies: (a) each edge of K_n appears exactly once across all rounds,
-    (b) each round is a matching, (c) odd case: vertex v is absent exactly
-    from round v, (d) even case: every vertex plays every round and each
-    vertex other than n lands exactly twice in every non-middle column.
-    Rounds that cannot be read as rounds of pairs fail one check instead,
-    ``rounds_hold_pairs``, whose failure names the first entry at fault.
+    Input is judged first: n must be a plain ``int`` of at least 1, the
+    rounds a sequence of sequences, and every pair a 2-tuple of plain ints.
+    Input that breaks these rules fails one check instead,
+    ``rounds_hold_pairs``, whose failure names n or the first entry at
+    fault.  Otherwise four checks run, once each:
+    (a) each edge of K_n appears exactly once across all rounds, (b) each
+    round is a matching, (c) odd case: vertex v is absent exactly from
+    round v, (d) even case: every vertex plays every round and each vertex
+    other than n lands exactly twice in every non-middle column.
+
+    No check counts the rounds, and for n >= 2 none needs to.  A round that
+    passes (b) and (c), or (b) and (d), and holds only pairs in 1..n has
+    floor(n/2) pairs, so only n rounds (odd n) or n - 1 rounds (even n) of
+    them hold the n(n-1)/2 edges: with any other count, (a) or a per-round
+    check fails.
+    ``OneFactorization(1, ())`` reports ok: K_1 has no edge, and no rounds
+    function makes n = 1.
     """
-    try:
-        return _partition_report(f)
-    except TypeError:
-        fault = _malformed(f)
-        if fault is None:
-            raise
-    parity = f.parity if type(f.n) is int else None  # a non-int n has no parity to report
-    return PartitionReport(f.n, parity, (("rounds_hold_pairs", False),), (fault,))
+    fault = _malformed(f)
+    if fault is not None:
+        parity = f.parity if type(f.n) is int and f.n >= 1 else None  # a bad n has no parity to report
+        return PartitionReport(f.n, parity, (("rounds_hold_pairs", False),), (fault,))
 
-
-def _malformed(f: OneFactorization) -> str | None:
-    """The first fault that keeps f's n and rounds from reading as a vertex count and rounds of pairs, or None."""
-    if type(f.n) is not int:
-        return f"n is {f.n!r}, not an integer"
-    if not isinstance(f.rounds, Sequence):  # the checks index rounds and rows, so iterable is not enough
-        return f"rounds are {f.rounds!r}, not a sequence of rounds"
-    for i, row in enumerate(f.rounds, start=1):
-        if not isinstance(row, Sequence):
-            return f"round {i} is {row!r}, not a sequence of pairs"
-        for j, pair in enumerate(row, start=1):
-            try:
-                hash((pair, *pair))  # the pair and each of its vertices is a key of a Counter or set
-            except TypeError:
-                return f"round {i} column {j} holds {pair!r}, not a pair"
-    return None
-
-
-def _partition_report(f: OneFactorization) -> PartitionReport:
-    """:func:`verify_partition` on rounds of hashable pairs; a ``TypeError`` on anything else."""
     found: dict[str, list[str]] = {}  # each check's name -> its failures, in the order the checks are reported
 
     edge_counts = Counter(chain.from_iterable(f.rounds))
@@ -187,3 +167,20 @@ def _partition_report(f: OneFactorization) -> PartitionReport:
 
     checks = tuple([(name, not failed) for name, failed in found.items()])
     return PartitionReport(f.n, f.parity, checks, tuple([failure for failed in found.values() for failure in failed]))
+
+
+def _malformed(f: OneFactorization) -> str | None:
+    """The first fault that keeps f's n and rounds from reading as a vertex count and rounds of pairs, or None."""
+    if type(f.n) is not int:
+        return f"n is {f.n!r}, not an integer"
+    if f.n < 1:
+        return f"n is {f.n}, not positive"
+    if not isinstance(f.rounds, Sequence):  # the checks index rounds and rows and walk them twice
+        return f"rounds are {f.rounds!r}, not a sequence of rounds"
+    for i, row in enumerate(f.rounds, start=1):
+        if not isinstance(row, Sequence):
+            return f"round {i} is {row!r}, not a sequence of pairs"
+        for j, pair in enumerate(row, start=1):
+            if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+                return f"round {i} column {j} holds {pair!r}, not a pair"
+    return None

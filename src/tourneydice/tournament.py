@@ -288,7 +288,7 @@ def _parse_json(text: bytes) -> Tournament:
         raise ParseError('"beats" must be a list of pairs')
     try:  # from_edges takes a JSON entry only as a 2-list of plain ints, so success needs no second look
         return from_edges(n, beats)
-    except (TypeError, ValueError):
+    except ValueError:
         for entry in beats:  # a malformed entry outranks any other fault; json.loads gives exact types
             if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not int or type(entry[1]) is not int:
                 raise ParseError(f"bad edge entry {entry!r}") from None

@@ -217,7 +217,7 @@ def test_dice_build_walks_rows_not_stored_rounds():
     3.11 the tracemalloc peak of ``build_dice`` at n = 1001 was 81.3 MB with
     every round stored first and 49.3 MB with the rows walked.
     """
-    generators = {"_rows", "_odd_rows", "_even_rows"}
+    generators = {"_rows"}
     nodes = _nodes()
     readers = {
         (module, scope)
@@ -300,3 +300,14 @@ def test_each_input_rule_is_refused_at_one_site():
     assert callers == {("tournament.py", "from_edges"), ("tournament.py", "_blank"), ("tournament.py", "paley")}
     (cap,) = raised("is over the limit of")
     assert cap[0] == "cli.py"
+
+
+def test_factorization_has_one_path():
+    """``factorization.py`` holds no ``try``: verify_partition judges its input first, then runs its checks once.
+
+    A check that catches an error and then walks the input again to say
+    what went wrong has two paths, and passes whatever raises no error.
+    """
+    kinds = (ast.Try, getattr(ast, "TryStar", ast.Try))  # try/except* is a node of its own from Python 3.11
+    tries = [node.lineno for module, _, node in _nodes() if module == "factorization.py" and isinstance(node, kinds)]
+    assert tries == []

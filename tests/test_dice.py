@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import random
 import tracemalloc
 from bisect import bisect_left
 from enum import IntEnum
@@ -423,6 +424,67 @@ class TestBuildDice:
             tracemalloc.stop()
         assert d.n == d.sides == 1001
         assert peak <= 60 * 10**6
+
+
+def flipped(t, c, d):
+    """t with the edge between c and d reversed, through from_edges."""
+    return from_edges(t.n, [(b, a) if {a, b} == {c, d} else (a, b) for a, b in t.edges])
+
+
+def assert_flip_swaps_adjacent_labels(t, c, d, before=None):
+    """The edge-flip lemma: reversing {c, d} swaps dice c and d's labels x and x+1 in one column, and nothing else.
+
+    The label x+1 goes to the new winner.  ``before`` is ``build_dice(t).faces``,
+    if the caller already has it.
+    """
+    after_t = flipped(t, c, d)
+    before = build_dice(t).faces if before is None else before
+    after = build_dice(after_t).faces
+    changed = [v for v in range(1, t.n + 1) if before[v - 1] != after[v - 1]]  # whole dice first, compared in C
+    assert changed == sorted((c, d)), (t.n, c, d, changed)
+    columns = {i for v in (c, d) for i, (x, y) in enumerate(zip(before[v - 1], after[v - 1])) if x != y}
+    assert len(columns) == 1, (t.n, c, d, columns)
+    (i,) = columns
+    x = min(before[c - 1][i], before[d - 1][i])
+    winner, loser = (c, d) if after_t.beats(c, d) else (d, c)
+    assert (after[winner - 1][i], after[loser - 1][i]) == (x + 1, x), (t.n, c, d)
+    assert (before[winner - 1][i], before[loser - 1][i]) == (x, x + 1), (t.n, c, d)
+
+
+class TestEdgeFlipLemma:
+    """Reversing one edge {c, d} changes the dice only by swapping c and d's labels x and x+1 in one column.
+
+    Swapping two adjacent labels moves only the comparison between them, so
+    the c-d matchup changes by one face win and no other matchup changes.
+    Every tournament on n vertices is reached from any other by edge flips,
+    so the lemma at every T, plus one oracle-verified build at n, would give
+    every build at n.  These tests sample T and edges: that is evidence for
+    the lemma, not a proof of it, since they cannot visit every T.
+    """
+
+    @pytest.mark.parametrize("residue", [0, 1, 2, 3])
+    @given(data=st.data())
+    def test_one_edge_of_a_drawn_tournament(self, residue, data):
+        n = data.draw(st.sampled_from([n for n in range(2, 61) if n % 4 == residue]), label="n")
+        t = random_tournament(n, data.draw(st.integers(0, 2**32), label="seed"))
+        c = data.draw(st.integers(1, n), label="c")
+        d = data.draw(st.integers(1, n).filter(lambda v: v != c), label="d")
+        assert_flip_swaps_adjacent_labels(t, c, d)
+
+    @pytest.mark.parametrize("n", [*range(2, 15), *range(25, 29)])
+    def test_every_edge(self, n):
+        t = random_tournament(n, n)
+        before = build_dice(t).faces
+        for c, d in combinations(range(1, n + 1), 2):
+            assert_flip_swaps_adjacent_labels(t, c, d, before)
+
+    @pytest.mark.parametrize("n", [300, 301, 302, 303])
+    def test_sampled_edges_near_300(self, n):
+        t = random_tournament(n, n)
+        before = build_dice(t).faces
+        pairs = list(combinations(range(1, n + 1), 2))
+        for c, d in random.Random(n).sample(pairs, 10):
+            assert_flip_swaps_adjacent_labels(t, c, d, before)
 
 
 class TestAuditsAndBalance:

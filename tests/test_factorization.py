@@ -258,6 +258,8 @@ def test_partition_failure_texts_pinned():
 ROUNDS_6 = even_rounds(6).rounds
 UNORDERED_6 = frozenset(ROUNDS_6)
 SET_ROWS_6 = tuple([frozenset(row) for row in ROUNDS_6])
+# one round holding every edge of K_5: read once for the edge count, it would leave the per-round checks nothing
+ITER_5 = iter([tuple(combinations(range(1, 6), 2))])
 
 
 @pytest.mark.parametrize(
@@ -269,15 +271,48 @@ SET_ROWS_6 = tuple([frozenset(row) for row in ROUNDS_6])
         (6, UNORDERED_6, f"rounds are {UNORDERED_6!r}, not a sequence of rounds"),
         (6, SET_ROWS_6, f"round 1 is {SET_ROWS_6[0]!r}, not a sequence of pairs"),
         ("6", ROUNDS_6, "n is '6', not an integer"),
+        (5, ITER_5, f"rounds are {ITER_5!r}, not a sequence of rounds"),
+        (0, (), "n is 0, not positive"),
+        (-3, (), "n is -3, not positive"),
+        (True, (), "n is True, not an integer"),
+        (2, (((1, 2.0),),), "round 1 column 1 holds (1, 2.0), not a pair"),
+        (2, (((True, 2),),), "round 1 column 1 holds (True, 2), not a pair"),
     ],
-    ids=["ints_for_pairs", "list_pair", "rounds_not_iterable", "rounds_not_indexable", "rows_not_indexable", "n_a_str"],
+    ids=[
+        "ints_for_pairs", "list_pair", "rounds_not_iterable", "rounds_not_indexable", "rows_not_indexable", "n_a_str",
+        "rounds_an_iterator", "n_zero", "n_negative", "n_a_bool", "float_vertex", "bool_vertex",
+    ],
 )
 def test_partition_malformed_rounds_reported(n, rounds, failure):
     report = verify_partition(OneFactorization(n, rounds))  # a report naming the entry, not a TypeError
     assert not report.ok
     assert report.checks == (("rounds_hold_pairs", False),)
     assert report.failures == (failure,)
-    assert (report.n, report.parity) == (n, "even" if type(n) is int else None)
+    vertex_count = type(n) is int and n >= 1  # a bad n has no parity to report
+    assert (report.n, report.parity) == (n, ("odd" if n % 2 else "even") if vertex_count else None)
+
+
+ROUND_COUNT_CASES = [(odd_rounds, n) for n in range(3, 16, 2)] + [(even_rounds, n) for n in range(2, 19, 4)]
+
+
+@pytest.mark.parametrize("make, n", ROUND_COUNT_CASES, ids=[f"n{n}" for _, n in ROUND_COUNT_CASES])
+def test_partition_wrong_round_count_fails(make, n):
+    """No check counts the rounds: a wrong count fails edges_partitioned, or a per-round check on a short round."""
+    rounds = make(n).rounds
+    presence = "one_absence_per_round" if n % 2 else "all_vertices_every_round"
+    for changed, failing in [
+        (rounds[:-1], "edges_partitioned"),  # a round's edges missing
+        (rounds + rounds[:1], "edges_partitioned"),  # round 1's edges twice
+        (rounds + ((),), presence),  # every edge still once, but the extra round holds no vertex
+    ]:
+        checks = dict(verify_partition(OneFactorization(n, changed)).checks)
+        assert not checks[failing], (n, len(changed))
+        assert checks["edges_partitioned"] == (failing != "edges_partitioned")
+
+
+def test_partition_of_k1_passes():
+    # K_1 has no edge, so no rounds partition it; no rounds function makes n = 1
+    assert verify_partition(OneFactorization(1, ())).ok
 
 
 def test_partition_short_later_round_reported():

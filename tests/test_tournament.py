@@ -528,3 +528,23 @@ def test_from_edges_matches_dict_walk(fault, data, n, container):
             return type(exc), str(exc)
 
     assert outcome(from_edges) == outcome(reference_from_edges)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=True) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(
+    n=st.integers(-2, 6) | st.integers(),
+    beats=st.lists(st.lists(st.integers(-1, 7), min_size=2, max_size=2) | JSON_VALUES, max_size=16),
+)
+def test_from_edges_raises_only_invalid_tournament_on_json_values(n, beats):
+    # what _parse_json hands from_edges: a plain int n and a list of decoded JSON values;
+    # any refusal is an InvalidTournamentError, so _parse_json catches ValueError alone
+    try:
+        from_edges(n, beats)
+    except InvalidTournamentError:
+        pass
