@@ -6,41 +6,12 @@ tournament exactly, every matchup decided at 1/2 + 1/(2k^2).  The layer
 underneath exposes the round/column edge partitions of K_n the
 construction is built on, and an exhaustive face-win oracle for exact
 verification.
-"""
 
-from .dice import (
-    DiceSet,
-    build_0mod4,
-    build_dice,
-    build_even_2mod4,
-    build_odd,
-    compact_labels,
-    dice_set,
-    dominance,
-    face_wins,
-    guaranteed_wins_audit,
-    is_balanced,
-    matchup,
-    parse_dice,
-    serialize_dice,
-    verify_realization,
-)
-from .factorization import (
-    OneFactorization,
-    even_rounds,
-    odd_rounds,
-    verify_partition,
-)
-from .tournament import (
-    Tournament,
-    almost_transitive,
-    from_edges,
-    paley,
-    parse_tournament,
-    random_tournament,
-    serialize_tournament,
-    transitive,
-)
+Importing the package loads none of its modules: the first read of a
+public name (or of ``dice``, ``factorization`` or ``tournament``) loads
+those three together and binds every name in ``__all__``.  So a CLI
+command, a fresh process each time, compiles only the modules it runs.
+"""
 
 __all__ = [
     "DiceSet",
@@ -71,3 +42,20 @@ __all__ = [
     "verify_partition",
     "verify_realization",
 ]
+
+_MODULES = ("dice", "factorization", "tournament")
+
+
+def __getattr__(name: str):
+    # All three load at once, not only the module holding ``name``: callers such
+    # as bench/tracer.py look all three up in sys.modules once they have read
+    # any public name.
+    if name not in __all__ and name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    names = globals()
+    for module in _MODULES:
+        found = vars(import_module(f"{__name__}.{module}"))
+        names.update({public: found[public] for public in __all__ if public in found})
+    return names[name]

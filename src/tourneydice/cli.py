@@ -1,39 +1,60 @@
 """Command-line front end: generate, factor, build, verify, matchup, stats.
 
 ``-`` means stdin/stdout for every input/output path.  Exit codes: 0 on
-success, 1 when verification fails, 2 on input or format errors.
+success, 1 when verification fails, 2 on input or format errors, a bad
+argument list included.
+
+Each command is a fresh process, so each imports the library modules it
+runs inside its own function, and the parser is built with the one
+subcommand the command line names: ``gen`` loads ``tournament.py`` alone
+and ``factor`` loads ``factorization.py`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-
-from .dice import (
-    DiceSet,
-    build_dice,
-    compact_labels,
-    dominance,
-    is_balanced,
-    matchup,
-    parse_dice,
-    serialize_dice,
-    verify_realization,
-)
-from .factorization import OneFactorization, even_rounds, odd_rounds
-from .tournament import (
-    Tournament,
-    almost_transitive,
-    paley,
-    parse_tournament,
-    random_tournament,
-    serialize_tournament,
-    transitive,
-)
 
 MAX_ERROR_CHARS = 200  # diagnostic length cap: a malformed input cell can be arbitrarily long
 MAX_N = 2000  # gen/factor refuse larger n before allocating: K_n has n(n-1)/2 pairs
+
+
+def _terminal_columns() -> int:
+    """The width ``shutil.get_terminal_size()`` gives: ``COLUMNS``, else stdout's terminal, else 80.
+
+    argparse's help formatter asks shutil, and importing shutil (with bz2,
+    lzma and fnmatch) costs about 3 ms of every start, help or not.
+    """
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):  # stdout None, closed, detached or not a terminal
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=_terminal_columns() - 2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors end in :func:`main`'s one-line handler, as every bad input does.
+
+    Subparsers are made of the same class, so their errors end there too.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def _read(path: str) -> bytes:
@@ -57,17 +78,23 @@ def _sniff(data: bytes) -> str:
     return "json" if data.lstrip().startswith(b"{") else ""
 
 
-def _load_tournament(path: str) -> Tournament:
+def _load_tournament(path: str):
+    from .tournament import parse_tournament
+
     data = _read(path)
     return parse_tournament(data, _sniff(data) or "matrix")
 
 
-def _load_dice(path: str) -> DiceSet:
+def _load_dice(path: str):
+    from .dice import parse_dice
+
     data = _read(path)
     return parse_dice(data, _sniff(data) or "csv")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .tournament import almost_transitive, paley, random_tournament, serialize_tournament, transitive
+
     if args.kind == "transitive":
         t = transitive(args.n)
     elif args.kind == "almost-transitive":
@@ -80,7 +107,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_rounds_table(f: OneFactorization) -> str:
+def _format_rounds_table(f) -> str:
     lines = []
     for i, row in enumerate(f.rounds, start=1):
         pairs = " ".join(f"{{{a},{b}}}" for a, b in row)
@@ -89,6 +116,8 @@ def _format_rounds_table(f: OneFactorization) -> str:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    from .factorization import even_rounds, odd_rounds
+
     f = odd_rounds(args.n) if args.n % 2 == 1 else even_rounds(args.n)
     if args.format == "json":
         payload = {"n": f.n, "parity": f.parity, "rounds": f.rounds}  # json writes tuples as arrays
@@ -99,8 +128,9 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    t = _load_tournament(args.input)
-    d = build_dice(t)
+    from .dice import build_dice, compact_labels, serialize_dice
+
+    d = build_dice(_load_tournament(args.input))
     if args.compact:
         d = compact_labels(d)
     _write(args.output, serialize_dice(d, args.format))
@@ -108,6 +138,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .dice import verify_realization
+
     if args.dice == args.tournament == "-":
         raise ValueError("--dice and --tournament cannot both read stdin")
     d = _load_dice(args.dice)
@@ -123,6 +155,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_matchup(args: argparse.Namespace) -> int:
+    from .dice import matchup
+
     d = _load_dice(args.dice)
     i, j = args.pair
     if not (1 <= i <= d.n and 1 <= j <= d.n) or i == j:
@@ -134,6 +168,9 @@ def _cmd_matchup(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .dice import dominance, is_balanced
+    from .tournament import serialize_tournament
+
     d = _load_dice(args.dice)
     t = dominance(d)
     print(f"dice: {d.n}")
@@ -144,14 +181,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tourneydice",
-        description="Construct and verify sets of non-transitive dice realizing tournaments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a tournament")
+def _gen_options(gen: argparse.ArgumentParser) -> None:
     gen.add_argument(
         "--kind",
         choices=["transitive", "almost-transitive", "random", "paley"],
@@ -161,9 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--format", choices=["json", "matrix"], default="json")
     gen.add_argument("--output", "-o", default="-")
-    gen.set_defaults(func=_cmd_gen)
 
-    factor = sub.add_parser("factor", help="print the round/column edge partition of K_n")
+
+def _factor_options(factor: argparse.ArgumentParser) -> None:
     factor.add_argument(
         "--n",
         type=int,
@@ -173,35 +203,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     factor.add_argument("--format", choices=["json", "table"], default="json")
     factor.add_argument("--output", "-o", default="-")
-    factor.set_defaults(func=_cmd_factor)
 
-    build = sub.add_parser("build", help="construct dice realizing a tournament")
+
+def _build_options(build: argparse.ArgumentParser) -> None:
     build.add_argument("--input", "-i", default="-", help="tournament file (JSON or matrix)")
     build.add_argument("--format", choices=["json", "csv", "table"], default="json")
     build.add_argument("--compact", action="store_true", help="relabel faces to ranks 1..n*k")
     build.add_argument("--output", "-o", default="-")
-    build.set_defaults(func=_cmd_build)
 
-    verify = sub.add_parser("verify", help="check that dice realize a tournament")
+
+def _verify_options(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--dice", default="-", help="dice file (JSON or CSV)")
     verify.add_argument("--tournament", required=True, help="tournament file (JSON or matrix)")
-    verify.set_defaults(func=_cmd_verify)
 
-    match = sub.add_parser("matchup", help="exact win counts for one ordered die pair")
+
+def _matchup_options(match: argparse.ArgumentParser) -> None:
     match.add_argument("--dice", default="-")
     match.add_argument("--pair", type=int, nargs=2, required=True, metavar=("I", "J"))
-    match.set_defaults(func=_cmd_matchup)
 
-    stats = sub.add_parser("stats", help="side counts, balance, and dominance matrix")
+
+def _stats_options(stats: argparse.ArgumentParser) -> None:
     stats.add_argument("--dice", default="-")
-    stats.set_defaults(func=_cmd_stats)
 
+
+# command -> (help line, function adding its options, function running it), in the order -h lists them
+_COMMANDS = {
+    "gen": ("generate a tournament", _gen_options, _cmd_gen),
+    "factor": ("print the round/column edge partition of K_n", _factor_options, _cmd_factor),
+    "build": ("construct dice realizing a tournament", _build_options, _cmd_build),
+    "verify": ("check that dice realize a tournament", _verify_options, _cmd_verify),
+    "matchup": ("exact win counts for one ordered die pair", _matchup_options, _cmd_matchup),
+    "stats": ("side counts, balance, and dominance matrix", _stats_options, _cmd_stats),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with the one subcommand its first word names, or all six if it names none."""
+    parser = _Parser(
+        prog="tourneydice",
+        description="Construct and verify sets of non-transitive dice realizing tournaments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [word for word in argv[:1] if word in _COMMANDS] or _COMMANDS:
+        help_line, add_options, run = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_line)
+        add_options(command)
+        command.set_defaults(func=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
+        args = _build_parser(argv).parse_args(argv)
         if getattr(args, "n", 0) > MAX_N:  # gen and factor take --n; refused here, before they allocate
             raise ValueError(f"n = {args.n} is over the limit of {MAX_N}")
         return args.func(args)

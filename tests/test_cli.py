@@ -40,6 +40,60 @@ def test_start_loads_no_module_a_command_does_not_need():
     assert {m for m in added if m.partition(".")[0] != "tourneydice"} <= {"__future__", "collections.abc"}
 
 
+COMMANDS = {  # a command line per command, and the stdin it reads; ``t.json`` is written by the test
+    "gen": (["gen", "--n", "5"], b""),
+    "factor": (["factor", "--n", "5"], b""),
+    "build": (["build"], b'{"n":3,"beats":[[1,2],[2,3],[3,1]]}'),
+    "verify": (["verify", "--tournament", "t.json"], b'{"n":3,"sides":3,"dice":[[1,5,9],[3,4,8],[2,6,7]]}'),
+    "matchup": (["matchup", "--pair", "1", "2"], b'{"n":3,"sides":3,"dice":[[1,5,9],[3,4,8],[2,6,7]]}'),
+    "stats": (["stats"], b"1,5,9\n3,4,8\n2,6,7\n"),
+}
+UNUSED = {"gen": {"tourneydice.dice", "tourneydice.factorization"},
+          "factor": {"tourneydice.dice", "tourneydice.tournament"}}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_what_it_runs(tmp_path, command):
+    """A command compiles no package module it does not run, and builds its parser without ``shutil``.
+
+    Run in a fresh ``python -S`` writing no bytecode, as each CLI command
+    starts: ``gen`` loads no ``dice`` or ``factorization`` module, ``factor``
+    no ``dice`` or ``tournament`` module, and no command run without ``-h``
+    imports ``shutil``, which brings ``bz2``, ``lzma`` and ``fnmatch``.
+    """
+    argv, stdin = COMMANDS[command]
+    (tmp_path / "t.json").write_bytes(b'{"n":3,"beats":[[1,2],[2,3],[3,1]]}')
+    code = (
+        "import sys; import tourneydice.cli; status = tourneydice.cli.main(sys.argv[1:]); sys.stdout.flush(); "
+        "print(status, *sorted(sys.modules), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        input=stdin,
+        capture_output=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=60,
+    )
+    status, *loaded = proc.stderr.decode().split()
+    assert status == "0" and proc.stdout
+    assert sorted(UNUSED.get(command, set()).intersection(loaded)) == []
+    assert "shutil" not in loaded
+    assert {"tourneydice.dice", "tourneydice.factorization", "tourneydice.tournament"}.intersection(loaded)
+
+
+@pytest.mark.parametrize("columns", [None, "50", "120", "0", "-3", "wide"])
+def test_help_width_follows_the_terminal_size_rule(monkeypatch, columns):
+    """Help is wrapped at the width ``shutil.get_terminal_size`` gives, though the CLI never imports shutil."""
+    import shutil
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._terminal_columns() == shutil.get_terminal_size().columns
+
+
 @pytest.fixture
 def run(monkeypatch, capsys):
     """Run the CLI in-process; returns (exit code, stdout, stderr)."""
@@ -127,11 +181,39 @@ def test_n_over_cap_rejected_before_allocating(run, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("a generator ran for an n over the cap")
 
-    for name in ("random_tournament", "paley", "odd_rounds", "even_rounds"):
-        monkeypatch.setattr(cli, name, refuse)
+    for name in ("tournament.random_tournament", "tournament.paley",
+                 "factorization.odd_rounds", "factorization.even_rounds"):
+        monkeypatch.setattr(f"tourneydice.{name}", refuse)
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err == f"error: n = {argv[-1]} is over the limit of {cli.MAX_N}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["gen", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["gen", "--kind", "bad", "--n", "5"], "argument --kind: invalid choice: 'bad'"),
+        (["verify"], "the following arguments are required: --tournament"),
+        (["matchup", "--pair", "1"], "argument --pair: expected 2 arguments"),
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["gen", "--n", "3", "extra"], "unrecognized arguments: extra"),
+    ],
+    ids=["not_an_int", "bad_choice", "missing_option", "short_pair", "no_command", "bad_command", "extra"],
+)
+def test_bad_arguments_end_in_one_error_line(run, argv, reason):
+    """A bad argument list exits 2 with one ``error:`` line and no usage block, as bad input does."""
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["gen", "-h"], ["factor", "--help"], ["stats", "-h"]])
+def test_help_still_exits_0(run, argv):
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: tourneydice {argv[0] if len(argv) > 1 else '[-h]'}")
 
 
 class TestBuild:

@@ -33,7 +33,7 @@ def _calls():
 
 
 def _name(func):
-    """The called name: ``f`` for ``f(...)`` and for ``module.f(...)``."""
+    """The called name: ``f`` for ``f(...)`` and for ``module.f(...)``; also the name a bare ``f`` or ``x.f`` reads."""
     if isinstance(func, ast.Name):
         return func.id
     if isinstance(func, ast.Attribute):
@@ -311,3 +311,47 @@ def test_factorization_has_one_path():
     kinds = (ast.Try, getattr(ast, "TryStar", ast.Try))  # try/except* is a node of its own from Python 3.11
     tries = [node.lineno for module, _, node in _nodes() if module == "factorization.py" and isinstance(node, kinds)]
     assert tries == []
+
+
+def test_checks_share_no_code_with_the_construction():
+    """Oracle independence: the checks name no construction function, and the construction names no check.
+
+    The checks are the face-win oracle, the sweep every whole-set check
+    reads (``DiceSet._pair_wins``), the public checks and
+    ``verify_partition``.  The construction is ``_label_columns``, the
+    ``build_*`` functions and the rounds functions ``_rows``, ``odd_rounds``,
+    ``even_rounds`` and ``_derived``.  A check that ran construction code
+    could agree with a wrong construction, so neither side calls or reads
+    the other.
+    """
+    checks = {"face_wins", "DiceSet._pair_wins", "matchup", "dominance", "is_balanced",
+              "verify_realization", "guaranteed_wins_audit", "verify_partition"}
+    rounds = {"_label_columns", "_rows", "odd_rounds", "even_rounds", "_derived"}
+    builds = {"build_dice", "build_odd", "build_even_2mod4", "build_0mod4"}
+    nodes = _nodes()
+    defined = {
+        f"{scope}.{node.name}" if scope else node.name
+        for _, scope, node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert checks | rounds | builds <= defined
+
+    def inside(scope, names):
+        return any(scope == name or scope.startswith(name + ".") for name in names)
+
+    def is_construction(name):
+        return name in rounds or name.startswith("build_")
+
+    in_checks = sorted(
+        f"{module}:{node.lineno} {scope} names {_name(node)}"
+        for module, scope, node in nodes
+        if inside(scope, checks) and _name(node) and is_construction(_name(node))
+    )
+    assert in_checks == []
+    oracle = {"face_wins", "_pair_wins"} | {name.rpartition(".")[2] for name in checks}
+    in_construction = sorted(
+        f"{module}:{node.lineno} {scope} names {_name(node)}"
+        for module, scope, node in nodes
+        if inside(scope, rounds | builds) and _name(node) in oracle
+    )
+    assert in_construction == []
