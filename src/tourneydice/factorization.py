@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, zip_longest
 
 from ._value import _Value
 from .errors import ParityError
@@ -112,6 +112,9 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
     round is a matching, (c) odd case: vertex v is absent exactly from
     round v, (d) even case: every vertex plays every round and each vertex
     other than n lands exactly twice in every non-middle column.
+    The failures of (a) come in vertex order, then any pair outside K_n as
+    first given.  Beside its failures, the check holds the counts of the
+    pairs given and one column's counts at a time, but no set of K_n's edges.
 
     No check counts the rounds, and for n >= 2 none needs to.  A round that
     passes (b) and (c), or (b) and (d), and holds only pairs in 1..n has
@@ -129,13 +132,12 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
     found: dict[str, list[str]] = {}  # each check's name -> its failures, in the order the checks are reported
 
     edge_counts = Counter(chain.from_iterable(f.rounds))
-    expected = set(combinations(range(1, f.n + 1), 2))
     bad_edges = found["edges_partitioned"] = []
-    for e in expected:
+    for e in combinations(range(1, f.n + 1), 2):
         if edge_counts.get(e, 0) != 1:
             bad_edges.append(f"edge {e} appears {edge_counts.get(e, 0)} times")
     for e in edge_counts:
-        if e not in expected:
+        if not 0 < e[0] < e[1] <= f.n:  # not an edge of K_n, low vertex first
             bad_edges.append(f"unexpected pair {e}")
 
     odd = f.parity == "odd"
@@ -155,10 +157,10 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
         middle = (f.n + 2) // 4
         width = len(f.rounds[0]) if f.rounds else 0
         bad_columns = found["twice_per_column"] = []
-        for j in range(1, width + 1):
+        for j, column in enumerate(islice(zip_longest(*f.rounds, fillvalue=()), width), start=1):
             if j == middle:
                 continue
-            occurrence = Counter(v for row in f.rounds if j <= len(row) for v in row[j - 1])
+            occurrence = Counter(chain.from_iterable(column))  # a round too short for column j gives ()
             for v in range(1, f.n):
                 if occurrence.get(v, 0) != 2:
                     bad_columns.append(

@@ -924,6 +924,19 @@ class TestDiceFormats:
         with pytest.raises(ParseError):
             parse_dice(b"[1,2,3]", "json")
 
+    def test_parse_dice_not_face_lists(self):
+        with pytest.raises(ParseError) as info:
+            parse_dice(b'{"dice": [1, 2]}', "json")
+        assert str(info.value) == '"dice" must be a list of face lists'
+
+    @pytest.mark.parametrize(
+        "call", [lambda: serialize_dice(EQ1, "xml"), lambda: parse_dice(b"", "xml")], ids=["serialize", "parse"]
+    )
+    def test_unknown_format_refused(self, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == "unknown format 'xml'"
+
     def test_parse_inconsistent_header(self):
         for data in (
             b'{"n":3,"sides":1,"dice":[[1],[2]]}',

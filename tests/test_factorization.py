@@ -1,6 +1,7 @@
 """Tests for the round/column edge partitions of K_n."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -152,8 +153,8 @@ class TestValueTypes:
             (
                 verify_partition(OneFactorization(3, ())),
                 "PartitionReport(n=3, parity='odd', checks=(('edges_partitioned', False), "
-                "('rounds_are_matchings', True), ('one_absence_per_round', True)), failures=('edge (2, 3) "
-                "appears 0 times', 'edge (1, 2) appears 0 times', 'edge (1, 3) appears 0 times'))",
+                "('rounds_are_matchings', True), ('one_absence_per_round', True)), failures=('edge (1, 2) "
+                "appears 0 times', 'edge (1, 3) appears 0 times', 'edge (2, 3) appears 0 times'))",
             ),
         ]
         for value, text in cases:
@@ -252,7 +253,7 @@ def test_partition_failure_texts_pinned():
     ]
     reports = [(r.n, r.parity, r.checks, r.failures) for r in map(verify_partition, cases)]
     digest = hashlib.sha256(repr(reports).encode()).hexdigest()
-    assert digest == "f530a9036d3d8f96acf013a6c497c414a6932613aed8374d76e6fc76af3068d5"
+    assert digest == "51432b2d150a6577b2c1b829c7f57c667130957e8cdcf359185b18102e9c3b4f"
 
 
 ROUNDS_6 = even_rounds(6).rounds
@@ -320,6 +321,64 @@ def test_partition_short_later_round_reported():
     report = verify_partition(f)  # round 5 has no column 3: a failure, not an IndexError
     assert ("twice_per_column", False) in report.checks
     assert "vertex 3 appears 1 times in column 3, expected 2" in report.failures
+
+
+def replaced(f, pair):
+    """f's rounds with round 1's first pair replaced by pair."""
+    return OneFactorization(f.n, ((pair,) + f.rounds[0][1:],) + f.rounds[1:])
+
+
+def test_partition_missing_edges_in_vertex_order():
+    assert verify_partition(OneFactorization(5, ())).failures == tuple(
+        [f"edge {e} appears 0 times" for e in combinations(range(1, 6), 2)]
+    )
+
+
+def test_partition_missing_and_repeated_edges_in_vertex_order():
+    report = verify_partition(replaced(odd_rounds(7), (3, 6)))  # was (2, 7)
+    assert report.failures == (
+        "edge (2, 7) appears 0 times",
+        "edge (3, 6) appears 2 times",
+        "round 1 is not a matching",
+        "round 1 missing vertices [1, 2, 7], expected [1]",
+    )
+
+
+@pytest.mark.parametrize(
+    "pair, checks, failures",
+    [
+        ((5, 2), (False, True, True), ("edge (2, 5) appears 0 times", "unexpected pair (5, 2)")),
+        (
+            (0, 3),
+            (False, False, False),
+            (
+                "edge (2, 5) appears 0 times",
+                "unexpected pair (0, 3)",
+                "round 1 is not a matching",
+                "round 1 missing vertices [1, 2, 5], expected [1]",
+            ),
+        ),
+    ],
+    ids=["high_vertex_first", "vertex_out_of_range"],
+)
+def test_partition_unexpected_pair_reported(pair, checks, failures):
+    report = verify_partition(replaced(odd_rounds(5), pair))  # was (2, 5)
+    assert report.checks == tuple(zip(("edges_partitioned", "rounds_are_matchings", "one_absence_per_round"), checks))
+    assert report.failures == failures
+
+
+def test_partition_peak_memory_n301():
+    # tracemalloc peak on CPython 3.11: 3.9 MB for the counts of the pairs given and one column's counts;
+    # a set of K_n's 45,150 edges held beside them reads 7.3 MB
+    f = odd_rounds(301)
+    assert len(f.rounds) == 301  # read before tracing: the rounds are the input, not the check's own memory
+    tracemalloc.start()
+    try:
+        assert verify_partition(f).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("n", list(range(3, 23, 2)))

@@ -200,6 +200,16 @@ class TestPaley:
         with pytest.raises(NotPrimeError):
             paley(15)
 
+    @pytest.mark.parametrize(
+        "p, error, message",
+        [(2, WrongResidueClassError, "2 is not 3 mod 4"), (4, NotPrimeError, "4 is not prime")],
+        ids=["p2", "p4"],
+    )
+    def test_even_p_refused(self, p, error, message):
+        with pytest.raises(error) as info:
+            paley(p)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("p", [3, 7, 11, 19, 23])
     def test_out_degrees(self, p):
         t = paley(p)
@@ -237,6 +247,29 @@ class TestFormats:
     def test_parse_json_missing_keys(self):
         with pytest.raises(ParseError):
             parse_tournament(b'{"n": 3}', "json")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"n": "3", "beats": []}', '"n" must be an integer'),
+            (b'{"n": 3, "beats": {}}', '"beats" must be a list of pairs'),
+        ],
+        ids=["n_a_str", "beats_an_object"],
+    )
+    def test_parse_json_field_types(self, data, message):
+        with pytest.raises(ParseError) as info:
+            parse_tournament(data, "json")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: serialize_tournament(transitive(3), "xml"), lambda: parse_tournament(b"", "xml")],
+        ids=["serialize", "parse"],
+    )
+    def test_unknown_format_refused(self, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == "unknown format 'xml'"
 
     def test_parse_json_incomplete_orientation(self):
         with pytest.raises(MissingEdgeError):
