@@ -61,14 +61,15 @@ class Tournament(_Value):
 def from_edges(n: int, beats: Iterable[Edge]) -> Tournament:
     """Build a Tournament from an explicit edge list, validating completeness.
 
-    ``n`` and every vertex must be a plain ``int`` (not ``bool`` or
-    ``float``); vertices lie in 1..n.  Every unordered pair {i, j} must
-    appear exactly once, in exactly one direction.  ``beats`` may be any
-    iterable of (winner, loser) pairs.  Faults are reported in edge order:
-    per edge an entry that is not a pair, then a self-loop, then a vertex
-    outside 1..n, then a repeated pair; after the last edge, the first pair
-    with no direction.  Nothing of size n is allocated for fewer than
-    n(n-1)/2 edges.
+    ``n`` must be a plain ``int`` (not ``bool`` or ``float``) of at least
+    1.  ``beats`` may be any iterable of (winner, loser) entries, each of
+    which must unpack into exactly two plain ints in 1..n.  Every unordered
+    pair {i, j} must appear exactly once, in exactly one direction.  Faults
+    are reported in this order: the first entry that is not such a pair
+    (``ParseError``, before any other fault); then, in edge order, per edge
+    a self-loop, a vertex outside 1..n, a repeated pair; after the last
+    edge, the first pair with no direction.  Nothing of size n is
+    allocated for fewer than n(n-1)/2 edges.
     """
     _check_vertex_count(n)
     edges = beats if isinstance(beats, (list, tuple)) else list(beats)
@@ -106,16 +107,19 @@ def _drawn(n: int, edges: Sequence[Edge]) -> Tournament | None:
 
 def _first_fault(n: int, edges: Sequence[Edge]) -> InvalidTournamentError:
     """The fault :func:`from_edges` reports for edges that are not one tournament on 1..n."""
-    seen: set[Edge] = set()
-    for entry in edges:
+    pairs: list[Edge] = []
+    for entry in edges:  # the shape of every entry is judged before any order fault
         try:
             i, j = entry
         except (TypeError, ValueError):  # an entry that does not unpack into two values
+            i = j = None
+        if type(i) is not int or type(j) is not int:
             return ParseError(f"bad edge entry {entry!r}")
+        pairs.append((i, j))
+    seen: set[Edge] = set()
+    for i, j in pairs:
         if i == j:
             return SelfLoopError(f"self-loop at vertex {i}")
-        if type(i) is not int or type(j) is not int:
-            return VertexOutOfRangeError(f"edge ({i!r},{j!r}) has a vertex that is not an integer")
         if not (1 <= i <= n) or not (1 <= j <= n):
             return VertexOutOfRangeError(f"edge ({i},{j}) outside 1..{n}")
         key = (i, j) if i < j else (j, i)
@@ -175,7 +179,7 @@ def transitive(n: int) -> Tournament:
 
 def almost_transitive(n: int) -> Tournament:
     """Transitive except that vertex n beats vertex 1."""
-    if n < 3:
+    if isinstance(n, int) and n < 3:  # any other n meets the vertex-count rule in _oriented
         raise NTooSmallError(f"almost-transitive needs n >= 3, got {n}")
     return _oriented(n, lambda i, j: i != 1 or j != n)
 
@@ -207,10 +211,11 @@ def random_tournament(n: int, seed: int) -> Tournament:
 
 def paley(p: int) -> Tournament:
     """Paley tournament on a prime p with p = 3 (mod 4): i -> j iff j - i is a nonzero square mod p."""
-    if not _is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    if p % 4 != 3:
-        raise WrongResidueClassError(f"{p} is not 3 mod 4")
+    if isinstance(p, int):  # any other p meets the vertex-count rule below
+        if not _is_prime(p):
+            raise NotPrimeError(f"{p} is not prime")
+        if p % 4 != 3:
+            raise WrongResidueClassError(f"{p} is not 3 mod 4")
     _check_vertex_count(p)  # after the checks above, so that paley(0) and paley(True) are not prime
     residues = {(x * x) % p for x in range(1, p)}
     return _oriented(p, lambda i, j: (j - i) % p in residues)
@@ -280,19 +285,9 @@ def _json_object(data: bytes, keys: set[str], shape: str) -> dict:
 
 def _parse_json(text: bytes) -> Tournament:
     obj = _json_object(text, {"n", "beats"}, 'expected an object with "n" and "beats"')
-    n = obj["n"]
-    beats = obj["beats"]
-    if type(n) is not int:
-        raise ParseError('"n" must be an integer')
-    if type(beats) is not list:
+    if type(obj["beats"]) is not list:
         raise ParseError('"beats" must be a list of pairs')
-    try:  # from_edges takes a JSON entry only as a 2-list of plain ints, so success needs no second look
-        return from_edges(n, beats)
-    except ValueError:
-        for entry in beats:  # a malformed entry outranks any other fault; json.loads gives exact types
-            if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not int or type(entry[1]) is not int:
-                raise ParseError(f"bad edge entry {entry!r}") from None
-        raise
+    return from_edges(obj["n"], obj["beats"])
 
 
 def _parse_matrix(text: bytes) -> Tournament:

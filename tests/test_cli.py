@@ -250,6 +250,10 @@ class TestBuild:
         assert code == 2
         assert "no direction" in err
 
+    def test_json_n_not_an_int_diagnostic(self, run):
+        code, out, err = run(["build"], stdin=b'{"n":"3","beats":[]}')
+        assert (code, out, err) == (2, "", "error: n must be an integer, got '3'\n")
+
     @pytest.mark.parametrize("argv", [["build", "-i"], ["verify", "--tournament"]])
     def test_declared_n_costs_nothing_beyond_listed_edges(self, tmp_path, argv):
         """A tiny file declaring n = 10^9 is refused under a 1 GB address-space limit."""

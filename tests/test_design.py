@@ -269,13 +269,15 @@ def test_json_is_decoded_by_one_function():
 
 
 def test_each_input_rule_is_refused_at_one_site():
-    """The residue rule, the vertex-count rule and the CLI size cap each have one copy, so no two can drift apart.
+    """The residue, vertex-count and edge-entry rules and the CLI size cap each have one copy, so none can drift.
 
     ``ParityError(...)`` is made only by the rounds functions, which hold the
     residue rule for build_odd and build_even_2mod4 too, and by build_0mod4,
-    whose rule is written nowhere else.  Both vertex-count messages are raised
-    by one tournament.py function, which from_edges, _blank and paley call,
-    and the CLI raises its size cap at one site.
+    whose rule is written nowhere else.  Every refusal of n's type ("must be
+    an integer") and of its size is raised by one tournament.py function,
+    which from_edges, _blank and paley call.  One site makes the
+    ``ParseError`` for an edge entry that is not a pair of plain ints, and
+    the CLI raises its size cap at one site.
     """
     parity = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "ParityError"}
     assert parity == {
@@ -292,12 +294,19 @@ def test_each_input_rule_is_refused_at_one_site():
             and any(isinstance(part, ast.Constant) and text in str(part.value) for part in ast.walk(node))
         ]
 
-    (integer,) = raised("n must be an integer, got")
+    (integer,) = raised("must be an integer")
     (positive,) = raised("n must be positive, got")
     assert integer == positive and integer[0] == "tournament.py"
     guard = integer[1]
     callers = {(module, scope) for module, scope, call in _calls() if _name(call.func) == guard}
     assert callers == {("tournament.py", "from_edges"), ("tournament.py", "_blank"), ("tournament.py", "paley")}
+    entry = [
+        (module, scope)
+        for module, scope, call in _calls()
+        if _name(call.func) == "ParseError"
+        and any(isinstance(part, ast.Constant) and "bad edge entry" in str(part.value) for part in ast.walk(call))
+    ]
+    assert entry == [("tournament.py", "_first_fault")]
     (cap,) = raised("is over the limit of")
     assert cap[0] == "cli.py"
 
@@ -311,6 +320,22 @@ def test_factorization_has_one_path():
     kinds = (ast.Try, getattr(ast, "TryStar", ast.Try))  # try/except* is a node of its own from Python 3.11
     tries = [node.lineno for module, _, node in _nodes() if module == "factorization.py" and isinstance(node, kinds)]
     assert tries == []
+
+
+def test_no_try_wraps_from_edges():
+    """No ``try`` in the package holds a call to ``from_edges``: it is the one judge of tournament input.
+
+    A caller that caught its error and walked the entries again to name a
+    fault of its own would keep a second copy of the entry rule.
+    """
+    kinds = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    wrapped = [
+        f"{module}:{node.lineno} in {scope}"
+        for module, scope, node in _nodes()
+        if isinstance(node, kinds)
+        and any(isinstance(call, ast.Call) and _name(call.func) == "from_edges" for call in ast.walk(node))
+    ]
+    assert wrapped == []
 
 
 def test_checks_share_no_code_with_the_construction():

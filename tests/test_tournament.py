@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import json
 import random
 import tracemalloc
 from itertools import combinations, permutations
@@ -83,23 +84,23 @@ class TestFromEdges:
             from_edges(2, [(1, 3)])
 
     @pytest.mark.parametrize(
-        "n, edges, message",
+        "n, edges, error, message",
         [
-            (3, [(1.5, 2), (2, 3), (3, 1)], "edge (1.5,2) has a vertex that is not an integer"),
-            (2, [("1", 2)], "edge ('1',2) has a vertex that is not an integer"),
-            (2, [(1.0, 2.0)], "edge (1.0,2.0) has a vertex that is not an integer"),
-            (2, [(True, 2)], "edge (True,2) has a vertex that is not an integer"),
-            (3, [(1, 2), (2, 1.0), (3, 1)], "edge (2,1.0) has a vertex that is not an integer"),
-            (3, [(2, 2), (1.5, 2)], "self-loop at vertex 2"),  # checked at the range step, after self-loops
-            (2.5, [(1, 2)], "n must be an integer, got 2.5"),
-            (True, [], "n must be an integer, got True"),
+            (3, [(1.5, 2), (2, 3), (3, 1)], ParseError, "bad edge entry (1.5, 2)"),
+            (2, [("1", 2)], ParseError, "bad edge entry ('1', 2)"),
+            (2, [(1.0, 2.0)], ParseError, "bad edge entry (1.0, 2.0)"),
+            (2, [(True, 2)], ParseError, "bad edge entry (True, 2)"),
+            (3, [(1, 2), (2, 1.0), (3, 1)], ParseError, "bad edge entry (2, 1.0)"),
+            (3, [(2, 2), (1.5, 2)], ParseError, "bad edge entry (1.5, 2)"),  # shape before any order fault
+            (2.5, [(1, 2)], VertexOutOfRangeError, "n must be an integer, got 2.5"),
+            (True, [], VertexOutOfRangeError, "n must be an integer, got True"),
         ],
         ids=["float", "str", "integral-float", "bool", "float-late", "self-loop-first", "float-n", "bool-n"],
     )
-    def test_non_integer_refused(self, n, edges, message):
+    def test_non_integer_refused(self, n, edges, error, message):
         with pytest.raises(InvalidTournamentError) as info:
             from_edges(n, edges)
-        assert str(info.value) == message
+        assert (type(info.value), str(info.value)) == (error, message)
 
 
 class TestGenerators:
@@ -249,17 +250,17 @@ class TestFormats:
             parse_tournament(b'{"n": 3}', "json")
 
     @pytest.mark.parametrize(
-        "data, message",
+        "data, error, message",
         [
-            (b'{"n": "3", "beats": []}', '"n" must be an integer'),
-            (b'{"n": 3, "beats": {}}', '"beats" must be a list of pairs'),
+            (b'{"n": "3", "beats": []}', VertexOutOfRangeError, "n must be an integer, got '3'"),
+            (b'{"n": 3, "beats": {}}', ParseError, '"beats" must be a list of pairs'),
         ],
         ids=["n_a_str", "beats_an_object"],
     )
-    def test_parse_json_field_types(self, data, message):
-        with pytest.raises(ParseError) as info:
+    def test_parse_json_field_types(self, data, error, message):
+        with pytest.raises(InvalidTournamentError) as info:
             parse_tournament(data, "json")
-        assert str(info.value) == message
+        assert (type(info.value), str(info.value)) == (error, message)
 
     @pytest.mark.parametrize(
         "call",
@@ -575,9 +576,43 @@ JSON_VALUES = st.recursive(
     beats=st.lists(st.lists(st.integers(-1, 7), min_size=2, max_size=2) | JSON_VALUES, max_size=16),
 )
 def test_from_edges_raises_only_invalid_tournament_on_json_values(n, beats):
-    # what _parse_json hands from_edges: a plain int n and a list of decoded JSON values;
-    # any refusal is an InvalidTournamentError, so _parse_json catches ValueError alone
+    # a list of decoded JSON values, as _parse_json hands from_edges;
+    # any refusal is an InvalidTournamentError, which the CLI reports as one error line
     try:
         from_edges(n, beats)
+    except InvalidTournamentError:
+        pass
+
+
+@given(
+    n=st.integers(-2, 6) | st.integers() | JSON_VALUES,
+    beats=st.lists(st.lists(st.integers(-1, 7), min_size=2, max_size=2) | JSON_VALUES, max_size=16),
+)
+def test_json_parse_judges_as_from_edges(n, beats):
+    # _parse_json adds only the JSON shape checks: n and every entry are judged by from_edges alone
+    text = json.dumps({"n": n, "beats": beats}).encode()
+    decoded = json.loads(text)
+
+    def outcome(call):
+        try:
+            return call()
+        except InvalidTournamentError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(lambda: parse_tournament(text, "json")) == outcome(
+        lambda: from_edges(decoded["n"], decoded["beats"])
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [transitive, almost_transitive, lambda n: random_tournament(n, 1), paley],
+    ids=["transitive", "almost_transitive", "random", "paley"],
+)
+@given(n=JSON_VALUES)
+def test_generators_raise_only_invalid_tournament_on_json_values(make, n):
+    # a generator's own rule is applied to an int n only; any other n meets the vertex-count rule
+    try:
+        make(n)
     except InvalidTournamentError:
         pass
