@@ -10,7 +10,6 @@ so that single column decides the matchup.
 
 from __future__ import annotations
 
-import io
 import json
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -27,7 +26,7 @@ from .errors import (
     TieDetectedError,
 )
 from .factorization import OneFactorization, _rows, even_rounds, odd_rounds
-from .tournament import Tournament, _json_object, _oriented, _with_top
+from .tournament import Tournament, _json_object, _oriented, _text_lines, _with_top
 
 Faces = tuple[int, ...]
 
@@ -321,14 +320,8 @@ def serialize_dice(d: DiceSet, fmt: str = "json") -> bytes:
     if fmt == "json":
         payload = {"n": d.n, "sides": d.sides, "dice": d.faces}
         return json.dumps(payload, separators=(",", ":")).encode("ascii")
-    if fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for die in d.faces:
-            writer.writerow(die)
-        return buf.getvalue().encode("ascii")
+    if fmt == "csv":  # unquoted cells, each line ended by "\r\n", as csv.writer's excel dialect writes ints
+        return "".join([",".join(map(str, die)) + "\r\n" for die in d.faces]).encode("ascii")
     if fmt == "table":  # aligned, one die per row: "X_1:  1 10 19 ..."
         width = max((len(str(x)) for die in d.faces for x in die), default=0)
         name_width = len(f"X_{d.n}:")
@@ -355,22 +348,13 @@ def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
             raise ParseError(f'"sides" is {sides} but dice have {d.sides} faces')
         return d
     if fmt == "csv":
-        import csv
-
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"CSV is not valid text: {exc}") from exc
-        try:
-            records = list(csv.reader(io.StringIO(text)))
-        except csv.Error as exc:  # e.g. a field over the reader's size limit
-            raise ParseError(f"bad CSV: {exc}") from exc
-        rows = []
-        for cells in records:
-            if not cells:
-                continue
+        rows = [line.split(",") for line in _text_lines(data, "CSV")]
+        for cells in rows:
             if not all(c.isascii() and c.isdigit() for c in cells):
                 raise ParseError(f"face labels must be plain ASCII digits, got row {cells!r}")
-            rows.append([int(c) for c in cells])
-        return dice_set(rows)
+        try:
+            faces = [[int(c) for c in cells] for cells in rows]
+        except ValueError as exc:  # a label with more digits than sys.get_int_max_str_digits() allows
+            raise ParseError(f"bad face label: {exc}") from exc
+        return dice_set(faces)
     raise ValueError(f"unknown format {fmt!r}")

@@ -283,6 +283,19 @@ def _json_object(data: bytes, keys: set[str], shape: str) -> dict:
     return obj
 
 
+def _text_lines(data: bytes, what: str) -> list[str]:
+    """Decode data as UTF-8 and split it with :meth:`str.splitlines`, dropping lines that hold only whitespace.
+
+    The adjacency matrix and CSV dice read their text here; text that is
+    not UTF-8 is ``ParseError("<what> is not valid text: ...")``.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid text: {exc}") from exc
+    return [line for line in text.splitlines() if line.strip()]
+
+
 def _parse_json(text: bytes) -> Tournament:
     obj = _json_object(text, {"n", "beats"}, 'expected an object with "n" and "beats"')
     if type(obj["beats"]) is not list:
@@ -291,10 +304,7 @@ def _parse_json(text: bytes) -> Tournament:
 
 
 def _parse_matrix(text: bytes) -> Tournament:
-    try:
-        lines = [ln for ln in text.decode("utf-8").splitlines() if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"matrix is not valid text: {exc}") from exc
+    lines = _text_lines(text, "matrix")
     n = len(lines)
     if n == 0:
         raise ParseError("empty matrix")

@@ -351,9 +351,12 @@ class TestVerifyMatchupStats:
             (["stats", "--dice"], b"[" * 200_000),
             (["build", "-i"], b"[" * 200_000),
             (["verify", "--tournament"], b'{"n":' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+            (["stats", "--dice"], "2,4,9\n1,6,8\n\u0663,5,7".encode()),
+            (["stats", "--dice"], b" 2 ,+4,9\n1,6,8\n3,5,7"),
+            (["stats", "--dice"], b'"2","4","9"\n1,6,8\n3,5,7'),
         ],
         ids=["zero_sided_stats", "zero_sided_matchup", "nested_dice_json", "nested_dice_csv",
-             "nested_matrix", "nested_tournament_json"],
+             "nested_matrix", "nested_tournament_json", "csv_arabic_digit", "csv_space_plus", "csv_quoted"],
     )
     def test_malformed_input_rejected(self, run, tmp_path, argv, data):
         path = tmp_path / "input"
@@ -363,6 +366,19 @@ class TestVerifyMatchupStats:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert len(err) <= len("error: \n") + cli.MAX_ERROR_CHARS
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])  # one n per residue mod 4
+def test_csv_dice_round_trip(run, tmp_path, n):
+    """gen | build --format csv | stats and verify read the CLI's own CSV back, with its "\\r\\n\\n" ending."""
+    _, tournament, _ = run(["gen", "--kind", "random", "--n", str(n), "--seed", "3"])
+    (tmp_path / "t.json").write_text(tournament)
+    code, dice_csv, _ = run(["build", "--format", "csv"], stdin=tournament.encode())
+    assert code == 0 and dice_csv.endswith("\r\n\n")
+    _, dice_json, _ = run(["build"], stdin=tournament.encode())
+    code, out, err = run(["stats"], stdin=dice_csv.encode())
+    assert (code, out, err) == run(["stats"], stdin=dice_json.encode()) and code == 0
+    assert run(["verify", "--tournament", str(tmp_path / "t.json")], stdin=dice_csv.encode())[0] == 0
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

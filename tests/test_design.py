@@ -170,8 +170,8 @@ def test_tuples_are_built_from_sources_of_known_size():
 def test_imports_that_slow_every_start_are_absent_or_deferred():
     """Modules that slow every CLI start are imported nowhere, or only by the one call that needs them.
 
-    No module imports ``dataclasses``, ``typing`` or ``pathlib``, and
-    ``fractions``, ``csv`` and ``random`` are imported only inside function
+    No module imports ``dataclasses``, ``typing``, ``pathlib`` or ``csv``,
+    and ``fractions`` and ``random`` are imported only inside function
     bodies.  Each CLI command is a fresh process, so at the sizes people
     pipe its time is interpreter start plus imports.  On CPython 3.11 with
     ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__``,
@@ -181,10 +181,10 @@ def test_imports_that_slow_every_start_are_absent_or_deferred():
     ``dataclasses`` took 10-16 ms to import, with ``inspect``, ``ast``,
     ``dis`` and ``tokenize``, before decorating eight classes; ``pathlib``
     4-10 ms, ``typing`` 2-4 ms, ``fractions`` with ``decimal`` 2-4 ms and
-    ``random`` 1 ms; ``csv`` loads little beyond what ``argparse`` loads,
-    but only CSV dice need it.
+    ``random`` 1 ms.  CSV dice are read and written with ``str`` methods,
+    one die per line, so no call needs ``csv``.
     """
-    banned, deferred = {"dataclasses", "typing", "pathlib"}, {"fractions", "csv", "random"}
+    banned, deferred = {"dataclasses", "typing", "pathlib", "csv"}, {"fractions", "random"}
     found = []
 
     def walk(node, module, in_function):
@@ -266,6 +266,17 @@ def test_json_is_decoded_by_one_function():
     # json.loads or a bare loads: both parsers read JSON through _json_object, which pauses the collector
     callers = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "loads"}
     assert callers == {("tournament.py", "_json_object")}
+
+
+def test_text_is_decoded_by_one_function():
+    # both line formats, the matrix and CSV dice, read their input through _text_lines; the one other
+    # decode in the package reads back the package's own ASCII output
+    decoders = {
+        (module, scope)
+        for module, scope, call in _calls()
+        if _name(call.func) == "decode" and [ast.unparse(arg) for arg in call.args] != ["'ascii'"]
+    }
+    assert decoders == {("tournament.py", "_text_lines")}
 
 
 def test_each_input_rule_is_refused_at_one_site():

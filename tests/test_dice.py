@@ -1,8 +1,11 @@
 """Tests for dice construction, the face-win oracle, and verification."""
 
+import csv
 import gc
 import hashlib
+import io
 import random
+import sys
 import tracemalloc
 from bisect import bisect_left
 from enum import IntEnum
@@ -32,6 +35,7 @@ from tourneydice import (
     matchup,
     odd_rounds,
     parse_dice,
+    parse_tournament,
     random_tournament,
     serialize_dice,
     transitive,
@@ -953,6 +957,52 @@ class TestDiceFormats:
         for cell in ("x", "\u0663", " 2 ", "+4"):  # only plain ASCII digits are labels
             with pytest.raises(ParseError):
                 parse_dice(f"1,{cell}\n5,6\n".encode(), "csv")
+
+    def test_csv_is_what_the_stdlib_writer_writes(self):
+        # csv serves only as the reference here: its excel dialect writes int cells unquoted, "\r\n" after each row
+        for d in [DiceSet(())] + [build_dice(random_tournament(n, n)) for n in range(1, 31)]:
+            buf = io.StringIO()
+            csv.writer(buf).writerows(d.faces)
+            assert serialize_dice(d, "csv") == buf.getvalue().encode("ascii"), d.n
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() takes any number of digits")
+    @pytest.mark.parametrize(
+        "fmt,data",
+        [("json", b'{"dice":[[' + b"9" * 5000 + b',1],[2,3]]}'), ("csv", b"9" * 5000 + b",1\n2,3")],
+        ids=["json", "csv"],
+    )
+    def test_over_long_label_refused(self, fmt, data):
+        # 5000 digits is over int()'s default limit of 4300: malformed input, refused alike by both formats
+        with pytest.raises(ParseError, match="Exceeds the limit"):
+            parse_dice(data, fmt)
+
+    @pytest.mark.parametrize(
+        "parse,fmt,data,expected",
+        [
+            (parse_dice, "csv", b'"1","5","9"\n3,4,8\n2,6,7\n',
+             (ParseError, """face labels must be plain ASCII digits, got row ['"1"', '"5"', '"9"']""")),
+            (parse_dice, "csv", b"1,5,9\n \t\n3,4,8\n2,6,7\n", EQ1),
+            (parse_dice, "csv", b"1,5,9\r3,4,8\r2,6,7", EQ1),
+            (parse_tournament, "matrix", b"0 1\n \t\n0 0\n", from_edges(2, [(1, 2)])),
+            (parse_tournament, "matrix", b"0 1\r0 0", from_edges(2, [(1, 2)])),
+            (parse_dice, "csv", b"1,5,\xff\n",
+             (ParseError, "CSV is not valid text: 'utf-8' codec can't decode byte 0xff in position 4: "
+                          "invalid start byte")),
+            (parse_tournament, "matrix", b"0 1\n\xff 0\n",
+             (ParseError, "matrix is not valid text: 'utf-8' codec can't decode byte 0xff in position 4: "
+                          "invalid start byte")),
+        ],
+        ids=["csv-quoted", "csv-whitespace-line", "csv-lone-cr", "matrix-whitespace-line", "matrix-lone-cr",
+             "csv-not-utf8", "matrix-not-utf8"],
+    )
+    def test_line_formats_share_one_line_rule(self, parse, fmt, data, expected):
+        """CSV dice and the matrix split text alike: str.splitlines, whitespace-only lines dropped, no quoting."""
+        if isinstance(expected, tuple):
+            with pytest.raises(expected[0]) as info:
+                parse(data, fmt)
+            assert type(info.value) is expected[0] and str(info.value) == expected[1]
+        else:
+            assert parse(data, fmt) == expected
 
 
 @pytest.mark.parametrize("enabled", [True, False])
