@@ -26,7 +26,7 @@ from .errors import (
     TieDetectedError,
 )
 from .factorization import OneFactorization, _rows, even_rounds, odd_rounds
-from .tournament import Tournament, _json_object, _oriented, _text_lines, _with_top
+from .tournament import Tournament, _echo, _json_object, _text_lines, _with_top, from_edges
 
 Faces = tuple[int, ...]
 
@@ -86,7 +86,7 @@ def _checked_set(faces: Iterable[Sequence[int]]) -> tuple[DiceSet, list[int] | N
     if set(map(type, labels)) != {int} or min(labels) < 1:  # name the first bad label
         for x in labels:
             if type(x) is not int or x < 1:  # plain ints only, as vertices: bool and IntEnum are refused
-                raise ParseError(f"face label {x!r} is not a positive integer")
+                raise ParseError(f"face label {_echo(repr(x))} is not a positive integer")
     count, top = len(labels), max(labels)
     # freed before the flags are made: kept alive beside them, the tracemalloc peak is the same, but glibc places
     # the flags so that build_large's peak RSS read 42.7-42.8 MB, against 41.6-41.9 MB with the list freed
@@ -134,12 +134,12 @@ def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
 
 def dominance(d: DiceSet) -> Tournament:
     """Extract the tournament the dice realize: i -> j iff die i wins more than half the face pairs."""
-    first_wins = {}
+    beats = []  # (winner, loser) for every pair, in the sweep's order
     for i, j, wins_i, wins_j in d._pair_wins:
         if wins_i == wins_j:
             raise TieDetectedError(f"dice {i} and {j} tie at exactly 1/2")
-        first_wins[i, j] = wins_i > wins_j
-    return _oriented(d.n, lambda i, j: first_wins[i, j])
+        beats.append((i, j) if wins_i > wins_j else (j, i))
+    return from_edges(d.n, beats)
 
 
 def build_dice(t: Tournament) -> DiceSet:
@@ -343,15 +343,15 @@ def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
         d = dice_set(rows)
         n, sides = obj.get("n", d.n), obj.get("sides", d.sides)
         if type(n) is not int or n != d.n:  # plain int: true and 1.0 are not 1
-            raise ParseError(f'"n" is {n} but {d.n} dice given')
+            raise ParseError(f'"n" is {_echo(n)} but {d.n} dice given')
         if type(sides) is not int or sides != d.sides:
-            raise ParseError(f'"sides" is {sides} but dice have {d.sides} faces')
+            raise ParseError(f'"sides" is {_echo(sides)} but dice have {d.sides} faces')
         return d
     if fmt == "csv":
         rows = [line.split(",") for line in _text_lines(data, "CSV")]
         for cells in rows:
             if not all(c.isascii() and c.isdigit() for c in cells):
-                raise ParseError(f"face labels must be plain ASCII digits, got row {cells!r}")
+                raise ParseError(f"face labels must be plain ASCII digits, got row {_echo(repr(cells))}")
         try:
             faces = [[int(c) for c in cells] for cells in rows]
         except ValueError as exc:  # a label with more digits than sys.get_int_max_str_digits() allows

@@ -83,9 +83,19 @@ def from_edges(n: int, beats: Iterable[Edge]) -> Tournament:
 def _check_vertex_count(n: int) -> None:
     """Refuse a vertex count that is not a plain ``int`` (``bool`` and ``float`` included) of at least 1."""
     if type(n) is not int:
-        raise VertexOutOfRangeError(f"n must be an integer, got {n!r}")
+        raise VertexOutOfRangeError(f"n must be an integer, got {_echo(repr(n))}")
     if n < 1:
-        raise VertexOutOfRangeError(f"n must be positive, got {n}")
+        raise VertexOutOfRangeError(f"n must be positive, got {_echo(n)}")
+
+
+def _echo(value: object) -> str:
+    """``str(value)`` as a diagnostic quotes it: text over 80 characters is cut to its first 77 and ``...``.
+
+    The tournament and dice input checks quote input through here, so a
+    huge cell, row, entry or label cannot make a huge message.
+    """
+    text = str(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _drawn(n: int, edges: Sequence[Edge]) -> Tournament | None:
@@ -106,26 +116,33 @@ def _drawn(n: int, edges: Sequence[Edge]) -> Tournament | None:
 
 
 def _first_fault(n: int, edges: Sequence[Edge]) -> InvalidTournamentError:
-    """The fault :func:`from_edges` reports for edges that are not one tournament on 1..n."""
-    pairs: list[Edge] = []
-    for entry in edges:  # the shape of every entry is judged before any order fault
+    """The fault :func:`from_edges` reports for edges that are not one tournament on 1..n.
+
+    One walk judges every entry's shape and keeps the first order fault,
+    which is reported only once no entry is found malformed.
+    """
+    seen: set[Edge] = set()
+    fault = None
+    for entry in edges:
         try:
             i, j = entry
         except (TypeError, ValueError):  # an entry that does not unpack into two values
             i = j = None
         if type(i) is not int or type(j) is not int:
-            return ParseError(f"bad edge entry {entry!r}")
-        pairs.append((i, j))
-    seen: set[Edge] = set()
-    for i, j in pairs:
-        if i == j:
-            return SelfLoopError(f"self-loop at vertex {i}")
-        if not (1 <= i <= n) or not (1 <= j <= n):
-            return VertexOutOfRangeError(f"edge ({i},{j}) outside 1..{n}")
+            return ParseError(f"bad edge entry {_echo(repr(entry))}")
+        if fault is not None:
+            continue
         key = (i, j) if i < j else (j, i)
-        if key in seen:
-            return DuplicateEdgeError(f"pair {{{key[0]},{key[1]}}} oriented twice")
-        seen.add(key)
+        if i == j:
+            fault = SelfLoopError(f"self-loop at vertex {_echo(i)}")
+        elif not (1 <= i <= n) or not (1 <= j <= n):
+            fault = VertexOutOfRangeError(f"edge ({_echo(i)},{_echo(j)}) outside 1..{_echo(n)}")
+        elif key in seen:
+            fault = DuplicateEdgeError(f"pair {{{_echo(key[0])},{_echo(key[1])}}} oriented twice")
+        else:
+            seen.add(key)
+    if fault is not None:
+        return fault
     # nested ranges, not combinations(), which would first hold all n vertices
     i, j = next((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in seen)
     return MissingEdgeError(f"pair {{{i},{j}}} has no direction")
@@ -316,10 +333,8 @@ def _parse_matrix(text: bytes) -> Tournament:
         row = "".join(entries)
         if len(row) != n or row.strip("01"):  # an entry longer than one character, or not 0/1
             c, cell = next((c, cell) for c, cell in enumerate(entries, start=1) if cell not in ("0", "1"))
-            raise ParseError(f"entry ({r},{c}) is {cell!r}, expected 0 or 1")
+            raise ParseError(f"entry ({r},{c}) is {_echo(repr(cell))}, expected 0 or 1")
         rows.append(row)
     cells = "".join(rows).encode("ascii")
-    t = _checked(n, cells)
-    if t is None:  # name the fault as for the matrix's edges in row-major order
-        raise _first_fault(n, [(k // n + 1, k % n + 1) for k, cell in enumerate(cells) if cell == _ONE])
-    return t
+    # a matrix that draws no tournament: from_edges names the fault of its edges, in row-major order
+    return _checked(n, cells) or from_edges(n, [(k // n + 1, k % n + 1) for k, c in enumerate(cells) if c == _ONE])

@@ -48,9 +48,38 @@ def test_face_wins_is_called_only_by_the_shared_sweep():
 
 
 def test_tournaments_are_built_only_in_tournament_module():
-    # one place builds the bit rows; every other module goes through from_edges, _oriented or a parser
+    # one place builds the bit rows; every other module goes through from_edges, a generator or a parser
     modules = {module for module, _, call in _calls() if _name(call.func) == "Tournament"}
     assert modules == {"tournament.py"}
+
+
+def test_pairs_become_a_tournament_only_through_from_edges():
+    """No module but tournament.py names its cell-array helpers or its fault walk; only from_edges calls the walk.
+
+    ``dominance`` and the matrix reader hand their (winner, loser) pairs to
+    ``from_edges``, so the entry rule and the order in which faults are named
+    have one judge.  ``dominance`` makes no dict: its pairs go to from_edges
+    as a list, with no verdict stored per pair beside them.
+    """
+    internal = {"_oriented", "_first_fault", "_drawn", "_checked", "_blank", "_bit_rows"}
+    nodes = _nodes()
+    named = sorted(
+        f"{module}:{node.lineno} in {scope} names {name}"
+        for module, scope, node in nodes
+        if module != "tournament.py"
+        for name in [node.name if isinstance(node, ast.alias) else _name(node)]
+        if name in internal
+    )
+    assert named == []
+    callers = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "_first_fault"}
+    assert callers == {("tournament.py", "from_edges")}
+    dicts = [
+        node.lineno
+        for module, scope, node in nodes
+        if (module, scope) == ("dice.py", "dominance")
+        and (isinstance(node, (ast.Dict, ast.DictComp)) or isinstance(node, ast.Call) and _name(node.func) == "dict")
+    ]
+    assert dicts == []
 
 
 def test_label_record_is_written_only_by_the_label_check_and_read_only_by_compact_labels():

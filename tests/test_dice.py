@@ -172,6 +172,22 @@ class TestDominance:
 
         assert dominance(DiceSet(FIG8)) == almost_transitive(7)
 
+    def test_peak_memory_on_a_swept_set(self):
+        # die v is {2v-1, 2v}, so it beats every lower die and the sweep stays cheap; with the sweep cached,
+        # dominance holds its (winner, loser) list and from_edges' cells: tracemalloc peak on CPython 3.11
+        # is 3.2 MB at n = 300, and 6.3 MB with a dict of every pair's verdict beside them
+        n = 300
+        d = dice_set([[2 * v - 1, 2 * v] for v in range(1, n + 1)])
+        d._pair_wins
+        tracemalloc.start()
+        try:
+            t = dominance(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t == from_edges(n, [(j, i) for i, j in combinations(range(1, n + 1), 2)])
+        assert peak < 4_500_000
+
 
 class TestDiceSetValidation:
     def test_ragged_sides(self):
