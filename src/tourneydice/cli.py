@@ -261,9 +261,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"n = {args.n} is over the limit of {MAX_N}")
         return args.func(args)
     except (ValueError, OSError) as exc:
-        message = " ".join(str(exc).split())  # one line, even if the error echoes input
-        if len(message) > MAX_ERROR_CHARS:
-            message = message[: MAX_ERROR_CHARS - 3] + "..."
+        from .errors import _echo
+
+        message = _echo(" ".join(str(exc).split()), limit=MAX_ERROR_CHARS)  # one line, even if the error echoes input
         print(f"error: {message}", file=sys.stderr)
         return 2
 

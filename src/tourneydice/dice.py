@@ -18,15 +18,9 @@ from itertools import accumulate, chain, combinations
 from operator import itemgetter
 
 from ._value import _Value
-from .errors import (
-    DuplicateLabelError,
-    ParityError,
-    ParseError,
-    SideCountMismatchError,
-    TieDetectedError,
-)
+from .errors import DuplicateLabelError, ParityError, ParseError, SideCountMismatchError, TieDetectedError, _echo
 from .factorization import OneFactorization, _rows, even_rounds, odd_rounds
-from .tournament import Tournament, _echo, _json_object, _text_lines, _with_top, from_edges
+from .tournament import Tournament, _json_object, _text_lines, _with_top, from_edges
 
 Faces = tuple[int, ...]
 
@@ -86,7 +80,7 @@ def _checked_set(faces: Iterable[Sequence[int]]) -> tuple[DiceSet, list[int] | N
     if set(map(type, labels)) != {int} or min(labels) < 1:  # name the first bad label
         for x in labels:
             if type(x) is not int or x < 1:  # plain ints only, as vertices: bool and IntEnum are refused
-                raise ParseError(f"face label {_echo(repr(x))} is not a positive integer")
+                raise ParseError(f"face label {_echo(x, repr)} is not a positive integer")
     count, top = len(labels), max(labels)
     # freed before the flags are made: kept alive beside them, the tracemalloc peak is the same, but glibc places
     # the flags so that build_large's peak RSS read 42.7-42.8 MB, against 41.6-41.9 MB with the list freed
@@ -206,7 +200,7 @@ def build_0mod4(t: Tournament) -> DiceSet:
     """
     n = t.n
     if n % 4 != 0:
-        raise ParityError(f"this construction needs n = 0 (mod 4), got {n}")
+        raise ParityError(f"this construction needs n = 0 (mod 4), got {_echo(n)}")
     full = build_odd(_with_top(t))
     return DiceSet(full.faces[:n])
 
@@ -330,7 +324,7 @@ def serialize_dice(d: DiceSet, fmt: str = "json") -> bytes:
             cells = " ".join(str(x).rjust(width) for x in die)
             lines.append(f"{f'X_{v}:'.ljust(name_width)} {cells}")
         return "\n".join(lines).encode("ascii")
-    raise ValueError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {_echo(fmt, repr)}")
 
 
 def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
@@ -351,10 +345,10 @@ def parse_dice(data: bytes, fmt: str = "json") -> DiceSet:
         rows = [line.split(",") for line in _text_lines(data, "CSV")]
         for cells in rows:
             if not all(c.isascii() and c.isdigit() for c in cells):
-                raise ParseError(f"face labels must be plain ASCII digits, got row {_echo(repr(cells))}")
+                raise ParseError(f"face labels must be plain ASCII digits, got row {_echo(cells, repr)}")
         try:
             faces = [[int(c) for c in cells] for cells in rows]
         except ValueError as exc:  # a label with more digits than sys.get_int_max_str_digits() allows
             raise ParseError(f"bad face label: {exc}") from exc
         return dice_set(faces)
-    raise ValueError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {_echo(fmt, repr)}")

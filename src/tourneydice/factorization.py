@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, combinations, islice, zip_longest
 
 from ._value import _Value
-from .errors import ParityError
+from .errors import ParityError, _check_vertex_count, _echo
 
 Pair = tuple[int, int]
 
@@ -75,7 +75,7 @@ def _derived(n: int) -> OneFactorization:
 def odd_rounds(n: int) -> OneFactorization:
     """Round i pairs up {i+j, i-j} mod n for j = 1..(n-1)/2; vertex i sits out."""
     if type(n) is not int or n < 3 or n % 2 == 0:
-        raise ParityError(f"odd construction needs odd n >= 3, got {n}")
+        raise ParityError(f"odd construction needs odd n >= 3, got {_echo(n)}")
     return _derived(n)
 
 
@@ -86,7 +86,7 @@ def even_rounds(n: int) -> OneFactorization:
     (n-2)/4 circle-method pairs before it and after it keep their order.
     """
     if type(n) is not int or n < 2 or n % 4 != 2:
-        raise ParityError(f"even construction needs n = 2 (mod 4), got {n}")
+        raise ParityError(f"even construction needs n = 2 (mod 4), got {_echo(n)}")
     return _derived(n)
 
 
@@ -124,9 +124,10 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
     ``OneFactorization(1, ())`` reports ok: K_1 has no edge, and no rounds
     function makes n = 1.
     """
-    fault = _malformed(f)
+    bad_n = _check_vertex_count(f.n, raising=False)
+    fault = bad_n or _malformed(f.rounds)
     if fault is not None:
-        parity = f.parity if type(f.n) is int and f.n >= 1 else None  # a bad n has no parity to report
+        parity = None if bad_n else f.parity  # a bad n has no parity to report
         return PartitionReport(f.n, parity, (("rounds_hold_pairs", False),), (fault,))
 
     found: dict[str, list[str]] = {}  # each check's name -> its failures, in the order the checks are reported
@@ -138,7 +139,7 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
             bad_edges.append(f"edge {e} appears {edge_counts.get(e, 0)} times")
     for e in edge_counts:
         if not 0 < e[0] < e[1] <= f.n:  # not an edge of K_n, low vertex first
-            bad_edges.append(f"unexpected pair {e}")
+            bad_edges.append(f"unexpected pair {_echo(e)}")
 
     odd = f.parity == "odd"
     vertices = set(range(1, f.n + 1))
@@ -171,18 +172,14 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
     return PartitionReport(f.n, f.parity, checks, tuple([failure for failed in found.values() for failure in failed]))
 
 
-def _malformed(f: OneFactorization) -> str | None:
-    """The first fault that keeps f's n and rounds from reading as a vertex count and rounds of pairs, or None."""
-    if type(f.n) is not int:
-        return f"n is {f.n!r}, not an integer"
-    if f.n < 1:
-        return f"n is {f.n}, not positive"
-    if not isinstance(f.rounds, Sequence):  # the checks index rounds and rows and walk them twice
-        return f"rounds are {f.rounds!r}, not a sequence of rounds"
-    for i, row in enumerate(f.rounds, start=1):
+def _malformed(rounds: object) -> str | None:
+    """The first fault that keeps rounds from reading as rounds of pairs, or None."""
+    if not isinstance(rounds, Sequence):  # the checks index rounds and rows and walk them twice
+        return f"rounds are {_echo(rounds, repr)}, not a sequence of rounds"
+    for i, row in enumerate(rounds, start=1):
         if not isinstance(row, Sequence):
-            return f"round {i} is {row!r}, not a sequence of pairs"
+            return f"round {i} is {_echo(row, repr)}, not a sequence of pairs"
         for j, pair in enumerate(row, start=1):
             if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
-                return f"round {i} column {j} holds {pair!r}, not a pair"
+                return f"round {i} column {j} holds {_echo(pair, repr)}, not a pair"
     return None

@@ -17,6 +17,8 @@ from .errors import (
     SelfLoopError,
     VertexOutOfRangeError,
     WrongResidueClassError,
+    _check_vertex_count,
+    _echo,
 )
 
 Edge = tuple[int, int]
@@ -80,24 +82,6 @@ def from_edges(n: int, beats: Iterable[Edge]) -> Tournament:
     return t
 
 
-def _check_vertex_count(n: int) -> None:
-    """Refuse a vertex count that is not a plain ``int`` (``bool`` and ``float`` included) of at least 1."""
-    if type(n) is not int:
-        raise VertexOutOfRangeError(f"n must be an integer, got {_echo(repr(n))}")
-    if n < 1:
-        raise VertexOutOfRangeError(f"n must be positive, got {_echo(n)}")
-
-
-def _echo(value: object) -> str:
-    """``str(value)`` as a diagnostic quotes it: text over 80 characters is cut to its first 77 and ``...``.
-
-    The tournament and dice input checks quote input through here, so a
-    huge cell, row, entry or label cannot make a huge message.
-    """
-    text = str(value)
-    return text if len(text) <= 80 else text[:77] + "..."
-
-
 def _drawn(n: int, edges: Sequence[Edge]) -> Tournament | None:
     """The tournament the edges draw on 1..n, or None if they draw none.
 
@@ -129,7 +113,7 @@ def _first_fault(n: int, edges: Sequence[Edge]) -> InvalidTournamentError:
         except (TypeError, ValueError):  # an entry that does not unpack into two values
             i = j = None
         if type(i) is not int or type(j) is not int:
-            return ParseError(f"bad edge entry {_echo(repr(entry))}")
+            return ParseError(f"bad edge entry {_echo(entry, repr)}")
         if fault is not None:
             continue
         key = (i, j) if i < j else (j, i)
@@ -197,7 +181,7 @@ def transitive(n: int) -> Tournament:
 def almost_transitive(n: int) -> Tournament:
     """Transitive except that vertex n beats vertex 1."""
     if isinstance(n, int) and n < 3:  # any other n meets the vertex-count rule in _oriented
-        raise NTooSmallError(f"almost-transitive needs n >= 3, got {n}")
+        raise NTooSmallError(f"almost-transitive needs n >= 3, got {_echo(n)}")
     return _oriented(n, lambda i, j: i != 1 or j != n)
 
 
@@ -230,9 +214,9 @@ def paley(p: int) -> Tournament:
     """Paley tournament on a prime p with p = 3 (mod 4): i -> j iff j - i is a nonzero square mod p."""
     if isinstance(p, int):  # any other p meets the vertex-count rule below
         if not _is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+            raise NotPrimeError(f"{_echo(p)} is not prime")
         if p % 4 != 3:
-            raise WrongResidueClassError(f"{p} is not 3 mod 4")
+            raise WrongResidueClassError(f"{_echo(p)} is not 3 mod 4")
     _check_vertex_count(p)  # after the checks above, so that paley(0) and paley(True) are not prime
     residues = {(x * x) % p for x in range(1, p)}
     return _oriented(p, lambda i, j: (j - i) % p in residues)
@@ -263,7 +247,7 @@ def serialize_tournament(t: Tournament, fmt: str = "json") -> bytes:
         return f'{{"n":{t.n},"beats":[{beats}]}}'.encode("ascii")
     if fmt == "matrix":
         return "\n".join(" ".join(f"{row:0{t.n}b}"[::-1]) for row in t.rows).encode("ascii")
-    raise ValueError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {_echo(fmt, repr)}")
 
 
 def parse_tournament(text: bytes, fmt: str = "json") -> Tournament:
@@ -272,7 +256,7 @@ def parse_tournament(text: bytes, fmt: str = "json") -> Tournament:
         return _parse_json(text)
     if fmt == "matrix":
         return _parse_matrix(text)
-    raise ValueError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {_echo(fmt, repr)}")
 
 
 def _json_object(data: bytes, keys: set[str], shape: str) -> dict:
@@ -333,7 +317,7 @@ def _parse_matrix(text: bytes) -> Tournament:
         row = "".join(entries)
         if len(row) != n or row.strip("01"):  # an entry longer than one character, or not 0/1
             c, cell = next((c, cell) for c, cell in enumerate(entries, start=1) if cell not in ("0", "1"))
-            raise ParseError(f"entry ({r},{c}) is {_echo(repr(cell))}, expected 0 or 1")
+            raise ParseError(f"entry ({r},{c}) is {_echo(cell, repr)}, expected 0 or 1")
         rows.append(row)
     cells = "".join(rows).encode("ascii")
     # a matrix that draws no tournament: from_edges names the fault of its edges, in row-major order

@@ -309,16 +309,21 @@ def test_text_is_decoded_by_one_function():
 
 
 def test_each_input_rule_is_refused_at_one_site():
-    """The residue, vertex-count and edge-entry rules and the CLI size cap each have one copy, so none can drift.
+    """The residue, vertex-count and edge-entry rules, the CLI size cap and the quote each have one copy.
 
     ``ParityError(...)`` is made only by the rounds functions, which hold the
     residue rule for build_odd and build_even_2mod4 too, and by build_0mod4,
-    whose rule is written nowhere else.  Every refusal of n's type ("must be
-    an integer") and of its size is raised by one tournament.py function,
-    which from_edges, _blank and paley call.  One site makes the
-    ``ParseError`` for an edge entry that is not a pair of plain ints, and
-    the CLI raises its size cap at one site.
+    whose rule is written nowhere else.  Both vertex-count texts ("must be an
+    integer" and "must be positive") are written by one errors.py function,
+    which from_edges, _blank, paley and verify_partition call.  One site
+    makes the ``ParseError`` for an edge entry that is not a pair of plain
+    ints, and the CLI raises its size cap at one site.  Quoted input is cut,
+    ``[:limit - 3] + "..."``, in one errors.py function, which the CLI's
+    handler calls too; and in the library modules no message formats a value
+    with ``!r`` or calls ``repr`` itself, so every value a message quotes
+    goes through that function and none can make a message unbounded.
     """
+    nodes = _nodes()
     parity = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "ParityError"}
     assert parity == {
         ("factorization.py", "odd_rounds"),
@@ -326,20 +331,25 @@ def test_each_input_rule_is_refused_at_one_site():
         ("dice.py", "build_0mod4"),
     }
 
-    def raised(text):
-        return [
+    def written(text):
+        return {
             (module, scope)
-            for module, scope, node in _nodes()
-            if isinstance(node, ast.Raise)
-            and any(isinstance(part, ast.Constant) and text in str(part.value) for part in ast.walk(node))
-        ]
+            for module, scope, node in nodes
+            if isinstance(node, ast.JoinedStr)
+            and any(isinstance(part, ast.Constant) and text in part.value for part in node.values)
+        }
 
-    (integer,) = raised("must be an integer")
-    (positive,) = raised("n must be positive, got")
-    assert integer == positive and integer[0] == "tournament.py"
-    guard = integer[1]
+    integer = written("must be an integer")
+    assert integer == written("n must be positive, got") and len(integer) == 1
+    ((module, guard),) = integer
+    assert module == "errors.py"
     callers = {(module, scope) for module, scope, call in _calls() if _name(call.func) == guard}
-    assert callers == {("tournament.py", "from_edges"), ("tournament.py", "_blank"), ("tournament.py", "paley")}
+    assert callers == {
+        ("tournament.py", "from_edges"),
+        ("tournament.py", "_blank"),
+        ("tournament.py", "paley"),
+        ("factorization.py", "verify_partition"),
+    }
     entry = [
         (module, scope)
         for module, scope, call in _calls()
@@ -347,8 +357,35 @@ def test_each_input_rule_is_refused_at_one_site():
         and any(isinstance(part, ast.Constant) and "bad edge entry" in str(part.value) for part in ast.walk(call))
     ]
     assert entry == [("tournament.py", "_first_fault")]
-    (cap,) = raised("is over the limit of")
+    (cap,) = [
+        (module, scope)
+        for module, scope, node in nodes
+        if isinstance(node, ast.Raise)
+        and any(isinstance(part, ast.Constant) and "is over the limit of" in str(part.value) for part in ast.walk(node))
+    ]
     assert cap[0] == "cli.py"
+
+    cuts = {
+        (module, scope)
+        for module, scope, node in nodes
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.Subscript) and isinstance(node.right, ast.Constant) and node.right.value == "..."
+    }
+    assert len(cuts) == 1
+    ((module, quote),) = cuts
+    assert module == "errors.py"
+    assert ("cli.py", "main") in {(module, scope) for module, scope, call in _calls() if _name(call.func) == quote}
+    library = {"tournament.py", "dice.py", "factorization.py", "errors.py"}
+    unquoted = sorted(
+        f"{module}:{node.lineno} in {scope}"
+        for module, scope, node in nodes
+        if module in library
+        and (
+            isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+            or isinstance(node, ast.Call) and _name(node.func) == "repr" and scope != quote
+        )
+    )
+    assert unquoted == []
 
 
 def test_factorization_has_one_path():

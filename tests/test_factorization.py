@@ -1,6 +1,7 @@
 """Tests for the round/column edge partitions of K_n."""
 
 import hashlib
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -256,6 +257,11 @@ def test_partition_failure_texts_pinned():
     assert digest == "51432b2d150a6577b2c1b829c7f57c667130957e8cdcf359185b18102e9c3b4f"
 
 
+# an int str() refuses to print: one over sys.get_int_max_str_digits() digits (4300 by default, 0 for no limit)
+TOO_LONG = 10**5000
+printable_when_unlimited = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001, reason="str() prints a 5001-digit int"
+)
 ROUNDS_6 = even_rounds(6).rounds
 UNORDERED_6 = frozenset(ROUNDS_6)
 SET_ROWS_6 = tuple([frozenset(row) for row in ROUNDS_6])
@@ -269,22 +275,26 @@ ITER_5 = iter([tuple(combinations(range(1, 6), 2))])
         (4, ((1, 2),), "round 1 column 1 holds 1, not a pair"),
         (4, (([1, 2],),), "round 1 column 1 holds [1, 2], not a pair"),
         (4, 5, "rounds are 5, not a sequence of rounds"),
-        (6, UNORDERED_6, f"rounds are {UNORDERED_6!r}, not a sequence of rounds"),
+        (6, UNORDERED_6, f"rounds are {repr(UNORDERED_6)[:77]}..., not a sequence of rounds"),  # a 141-character repr
         (6, SET_ROWS_6, f"round 1 is {SET_ROWS_6[0]!r}, not a sequence of pairs"),
-        ("6", ROUNDS_6, "n is '6', not an integer"),
+        ("6", ROUNDS_6, "n must be an integer, got '6'"),
         (5, ITER_5, f"rounds are {ITER_5!r}, not a sequence of rounds"),
-        (0, (), "n is 0, not positive"),
-        (-3, (), "n is -3, not positive"),
-        (True, (), "n is True, not an integer"),
+        (0, (), "n must be positive, got 0"),
+        (-3, (), "n must be positive, got -3"),
+        (True, (), "n must be an integer, got True"),
         (2, (((1, 2.0),),), "round 1 column 1 holds (1, 2.0), not a pair"),
         (2, (((True, 2),),), "round 1 column 1 holds (True, 2), not a pair"),
+        (3, (("x" * 100_000,),), f"round 1 column 1 holds {repr('x' * 100_000)[:77]}..., not a pair"),
+        pytest.param(-TOO_LONG, (), "n must be positive, got <unprintable>", marks=printable_when_unlimited),
     ],
     ids=[
         "ints_for_pairs", "list_pair", "rounds_not_iterable", "rounds_not_indexable", "rows_not_indexable", "n_a_str",
-        "rounds_an_iterator", "n_zero", "n_negative", "n_a_bool", "float_vertex", "bool_vertex",
+        "rounds_an_iterator", "n_zero", "n_negative", "n_a_bool", "float_vertex", "bool_vertex", "long_entry_cut",
+        "unprintable_n",
     ],
 )
 def test_partition_malformed_rounds_reported(n, rounds, failure):
+    # input is quoted as every library message quotes it: cut to 80 characters, "<unprintable>" if str() refuses it
     report = verify_partition(OneFactorization(n, rounds))  # a report naming the entry, not a TypeError
     assert not report.ok
     assert report.checks == (("rounds_hold_pairs", False),)
@@ -358,8 +368,18 @@ def test_partition_missing_and_repeated_edges_in_vertex_order():
                 "round 1 missing vertices [1, 2, 5], expected [1]",
             ),
         ),
+        pytest.param(
+            (1, TOO_LONG),
+            (False, True, False),
+            (
+                "edge (2, 5) appears 0 times",
+                "unexpected pair <unprintable>",
+                "round 1 missing vertices [2, 5], expected [1]",
+            ),
+            marks=printable_when_unlimited,
+        ),
     ],
-    ids=["high_vertex_first", "vertex_out_of_range"],
+    ids=["high_vertex_first", "vertex_out_of_range", "unprintable_vertex"],
 )
 def test_partition_unexpected_pair_reported(pair, checks, failures):
     report = verify_partition(replaced(odd_rounds(5), pair))  # was (2, 5)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -11,13 +12,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tourneydice import (
+    Tournament,
     almost_transitive,
+    build_0mod4,
     dice_set,
+    even_rounds,
     from_edges,
+    odd_rounds,
     paley,
     parse_dice,
     parse_tournament,
     random_tournament,
+    serialize_dice,
     serialize_tournament,
     transitive,
 )
@@ -27,6 +33,7 @@ from tourneydice.errors import (
     MissingEdgeError,
     NotPrimeError,
     NTooSmallError,
+    ParityError,
     ParseError,
     SelfLoopError,
     VertexOutOfRangeError,
@@ -496,37 +503,80 @@ def test_malformed_diagnostics_pinned():
 
 BIG = "x" * 100_000
 HUGE = 10**3999  # JSON and int() refuse ints over 4300 digits, so an echoed int is at most that long
+# an int str() refuses to print: one over sys.get_int_max_str_digits() digits (4300 by default, 0 for no limit)
+TOO_LONG = 10**5000
+printable_when_unlimited = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001, reason="str() prints a 5001-digit int"
+)
+
+
+def unprintable(call, error, template, id):
+    """A case whose input is TOO_LONG, quoted as ``<unprintable>`` (echoed None)."""
+    return pytest.param(call, error, template, None, id=id, marks=printable_when_unlimited)
 
 
 @pytest.mark.parametrize(
-    "call, template, echoed",
+    "call, error, template, echoed",
     [
-        pytest.param(lambda: from_edges(BIG, []), "n must be an integer, got {}", repr(BIG), id="n-type"),
-        pytest.param(lambda: from_edges(3, [list(range(50_000))]), "bad edge entry {}",
+        pytest.param(lambda: from_edges(BIG, []), VertexOutOfRangeError, "n must be an integer, got {}", repr(BIG),
+                     id="n-type"),
+        pytest.param(lambda: from_edges(3, [list(range(50_000))]), ParseError, "bad edge entry {}",
                      repr(list(range(50_000))), id="edge-entry"),
-        pytest.param(lambda: parse_tournament(b"0 " + b"2" * 140_000 + b"\n1 0", "matrix"),
+        pytest.param(lambda: parse_tournament(b"0 " + b"2" * 140_000 + b"\n1 0", "matrix"), ParseError,
                      "entry (1,2) is {}, expected 0 or 1", repr("2" * 140_000), id="matrix-cell"),
-        pytest.param(lambda: parse_dice(b"1," + b"a" * 140_000 + b"\n3,4", "csv"),
+        pytest.param(lambda: parse_dice(b"1," + b"a" * 140_000 + b"\n3,4", "csv"), ParseError,
                      "face labels must be plain ASCII digits, got row {}", repr(["1", "a" * 140_000]), id="csv-row"),
-        pytest.param(lambda: parse_dice(json.dumps({"n": BIG, "dice": [[1]]}).encode()),
+        pytest.param(lambda: parse_dice(json.dumps({"n": BIG, "dice": [[1]]}).encode()), ParseError,
                      '"n" is {} but 1 dice given', BIG, id="dice-n"),
-        pytest.param(lambda: parse_dice(json.dumps({"sides": BIG, "dice": [[1]]}).encode()),
+        pytest.param(lambda: parse_dice(json.dumps({"sides": BIG, "dice": [[1]]}).encode()), ParseError,
                      '"sides" is {} but dice have 1 faces', BIG, id="dice-sides"),
-        pytest.param(lambda: dice_set([[BIG]]), "face label {} is not a positive integer", repr(BIG), id="label"),
-        pytest.param(lambda: from_edges(-HUGE, []), "n must be positive, got {}", str(-HUGE), id="n-size"),
-        pytest.param(lambda: from_edges(3, [(HUGE, HUGE)]), "self-loop at vertex {}", str(HUGE), id="self-loop"),
-        pytest.param(lambda: from_edges(3, [(1, HUGE)]), "edge (1,{}) outside 1..3", str(HUGE), id="out-of-range"),
-        pytest.param(lambda: from_edges(HUGE, [(1, HUGE), (HUGE, 1)]), "pair {{1,{}}} oriented twice", str(HUGE),
-                     id="repeat"),
+        pytest.param(lambda: dice_set([[BIG]]), ParseError, "face label {} is not a positive integer", repr(BIG),
+                     id="label"),
+        pytest.param(lambda: from_edges(-HUGE, []), VertexOutOfRangeError, "n must be positive, got {}", str(-HUGE),
+                     id="n-size"),
+        pytest.param(lambda: from_edges(3, [(HUGE, HUGE)]), SelfLoopError, "self-loop at vertex {}", str(HUGE),
+                     id="self-loop"),
+        pytest.param(lambda: from_edges(3, [(1, HUGE)]), VertexOutOfRangeError, "edge (1,{}) outside 1..3", str(HUGE),
+                     id="out-of-range"),
+        pytest.param(lambda: from_edges(HUGE, [(1, HUGE), (HUGE, 1)]), DuplicateEdgeError,
+                     "pair {{1,{}}} oriented twice", str(HUGE), id="repeat"),
+        pytest.param(lambda: odd_rounds(BIG), ParityError, "odd construction needs odd n >= 3, got {}", BIG,
+                     id="odd-rounds-n"),
+        pytest.param(lambda: serialize_tournament(transitive(2), BIG), ValueError, "unknown format {}", repr(BIG),
+                     id="serialize-tournament-format"),
+        pytest.param(lambda: parse_tournament(b"", BIG), ValueError, "unknown format {}", repr(BIG),
+                     id="parse-tournament-format"),
+        pytest.param(lambda: serialize_dice(dice_set([[1]]), BIG), ValueError, "unknown format {}", repr(BIG),
+                     id="serialize-dice-format"),
+        pytest.param(lambda: parse_dice(b"", BIG), ValueError, "unknown format {}", repr(BIG), id="parse-dice-format"),
+        unprintable(lambda: from_edges(-TOO_LONG, []), VertexOutOfRangeError, "n must be positive, got {}",
+                    id="unprintable-n"),
+        unprintable(lambda: from_edges(2, [(1, TOO_LONG)]), VertexOutOfRangeError, "edge (1,{}) outside 1..2",
+                    id="unprintable-vertex"),
+        unprintable(lambda: random_tournament(-TOO_LONG, 1), VertexOutOfRangeError, "n must be positive, got {}",
+                    id="unprintable-random-n"),
+        unprintable(lambda: dice_set([[-TOO_LONG]]), ParseError, "face label {} is not a positive integer",
+                    id="unprintable-label"),
+        unprintable(lambda: paley(-TOO_LONG), NotPrimeError, "{} is not prime", id="unprintable-paley-p"),
+        unprintable(lambda: almost_transitive(-TOO_LONG), NTooSmallError, "almost-transitive needs n >= 3, got {}",
+                    id="unprintable-almost-transitive-n"),
+        unprintable(lambda: odd_rounds(-TOO_LONG), ParityError, "odd construction needs odd n >= 3, got {}",
+                    id="unprintable-odd-rounds-n"),
+        unprintable(lambda: even_rounds(TOO_LONG), ParityError, "even construction needs n = 2 (mod 4), got {}",
+                    id="unprintable-even-rounds-n"),
+        unprintable(lambda: build_0mod4(Tournament(TOO_LONG + 1, ())), ParityError,
+                    "this construction needs n = 0 (mod 4), got {}", id="unprintable-build-n"),
     ],
 )
-def test_echoed_input_is_cut(call, template, echoed):
+def test_echoed_input_is_cut(call, error, template, echoed):
     # a diagnostic quotes at most 80 characters of its input: longer text shows its first 77 and "...",
-    # so the message starts as the uncut one does and stays short whatever the input's size
+    # so the message starts as the uncut one does and stays short whatever the input's size; a value str()
+    # or repr() cannot print at all (echoed None) shows "<unprintable>", and the error is still the package's own
     with pytest.raises(ValueError) as info:
         call()
-    assert len(echoed) > 80
-    assert str(info.value) == template.format(echoed[:77] + "...")
+    assert type(info.value) is error
+    assert echoed is None or len(echoed) > 80
+    assert str(info.value) == template.format("<unprintable>" if echoed is None else echoed[:77] + "...")
     assert len(str(info.value)) < 200
 
 
