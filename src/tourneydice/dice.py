@@ -22,20 +22,14 @@ from .errors import DuplicateLabelError, ParityError, ParseError, SideCountMisma
 from .factorization import OneFactorization, _rows, even_rounds, odd_rounds
 from .tournament import Tournament, _json_object, _text_lines, _with_top, from_edges
 
-Faces = tuple[int, ...]
-
 
 class DiceSet(_Value):
     """n dice with equal side counts; ``faces[v-1][i-1]`` is face i of die v."""
 
     _fields = ("faces",)
 
-    # the largest label, on a set made by _checked_set, which checked its labels, and 0 on any other;
-    # only compact_labels trusts it, to return a checked set labelled 1..N as it is; the oracle revalidates
-    _checked_top = 0
-
-    def __init__(self, faces: tuple[Faces, ...]) -> None:
-        object.__setattr__(self, "faces", faces)
+    def __init__(self, faces: Iterable[Sequence[int]]) -> None:
+        object.__setattr__(self, "faces", tuple([tuple(die) for die in faces]))
 
     @property
     def n(self) -> int:
@@ -44,6 +38,37 @@ class DiceSet(_Value):
     @property
     def sides(self) -> int:
         return len(self.faces[0]) if self.faces else 0
+
+    @cached_property
+    def _label_flags(self) -> bytearray | None:
+        """:func:`dice_set`'s face-label rule, run at most once per object: flags[x] = 1 iff x is a label.
+
+        Sparse labels (largest over twice their count) get no flags (None): a hash set finds their repeats.
+        A set the rule refuses raises again on every read: a cached_property caches nothing on an exception.
+        """
+        faces = self.faces
+        if not faces:
+            raise ParseError("a dice set needs at least one die")
+        sides = len(faces[0])
+        for v, die in enumerate(faces, start=1):
+            if len(die) != sides:
+                raise SideCountMismatchError(f"die {v} has {len(die)} sides, expected {sides}")
+        if not sides:
+            raise ParseError("dice need at least one side")
+        labels = list(chain.from_iterable(faces))
+        if set(map(type, labels)) != {int} or min(labels) < 1:  # name the first bad label
+            for x in labels:
+                if type(x) is not int or x < 1:  # plain ints only, as vertices: bool and IntEnum are refused
+                    raise ParseError(f"face label {_echo(x, repr)} is not a positive integer")
+        count, top = len(labels), max(labels)
+        flags = None
+        if top <= 2 * count:  # a bytearray, not a list: the flags stay on the set, one byte per value, not eight
+            flags = bytearray(top + 1)
+            for x in chain.from_iterable(faces):
+                flags[x] = 1
+        if (flags.count(1) if flags else len(set(chain.from_iterable(faces)))) != count:  # a repeat is flagged once
+            raise DuplicateLabelError("face labels are not pairwise distinct")
+        return flags
 
     @cached_property
     def _pair_wins(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -59,42 +84,9 @@ def dice_set(faces: Iterable[Sequence[int]]) -> DiceSet:
     Every die has the same nonzero number of faces (else ParseError or SideCountMismatchError), and every
     label is a plain int >= 1 (else ParseError, naming the first), none repeated (else DuplicateLabelError).
     """
-    return _checked_set(faces)[0]
-
-
-def _checked_set(faces: Iterable[Sequence[int]]) -> tuple[DiceSet, list[int] | None]:
-    """dice_set's checks, run once: the set, recorded as checked, and its flags, present[x] = 1 iff x is a label.
-
-    Sparse labels (largest over twice their count) get no flags (None): a hash set finds their repeats.
-    """
-    frozen = tuple([tuple(die) for die in faces])
-    if not frozen:
-        raise ParseError("a dice set needs at least one die")
-    sides = len(frozen[0])
-    for v, die in enumerate(frozen, start=1):
-        if len(die) != sides:
-            raise SideCountMismatchError(f"die {v} has {len(die)} sides, expected {sides}")
-    if not sides:
-        raise ParseError("dice need at least one side")
-    labels = list(chain.from_iterable(frozen))
-    if set(map(type, labels)) != {int} or min(labels) < 1:  # name the first bad label
-        for x in labels:
-            if type(x) is not int or x < 1:  # plain ints only, as vertices: bool and IntEnum are refused
-                raise ParseError(f"face label {_echo(x, repr)} is not a positive integer")
-    count, top = len(labels), max(labels)
-    # freed before the flags are made: kept alive beside them, the tracemalloc peak is the same, but glibc places
-    # the flags so that build_large's peak RSS read 42.7-42.8 MB, against 41.6-41.9 MB with the list freed
-    del labels
-    present = None
-    if top <= 2 * count:  # a list, not a bytearray or a set: 3.0, 3.9 and 4.6 ms on a parsed 300-die set
-        present = [0] * (top + 1)
-        for x in chain.from_iterable(frozen):
-            present[x] = 1
-    if (present.count(1) if present else len(set(chain.from_iterable(frozen)))) != count:  # a repeat is flagged once
-        raise DuplicateLabelError("face labels are not pairwise distinct")
-    d = DiceSet(frozen)
-    object.__setattr__(d, "_checked_top", top)
-    return d, present
+    d = DiceSet(faces)
+    d._label_flags  # raises, caching nothing, for faces the rule refuses
+    return d
 
 
 # probability: the chance that die a rolls the higher number, as a Fraction
@@ -122,7 +114,7 @@ def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
     """
     from fractions import Fraction  # loaded here, not at import: it also loads decimal
 
-    ((_, _, wins_a, wins_b),) = DiceSet((tuple(a), tuple(b)))._pair_wins
+    ((_, _, wins_a, wins_b),) = DiceSet((a, b))._pair_wins
     return Matchup(wins_a, wins_b, Fraction(wins_a, len(a) * len(b)))
 
 
@@ -175,7 +167,7 @@ def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
             column[b] = label + 1
             label += 2
         columns.append(column)
-    return DiceSet(tuple(list(zip(*columns))[1:]))
+    return DiceSet(list(zip(*columns))[1:])
 
 
 def build_odd(t: Tournament) -> DiceSet:
@@ -285,28 +277,22 @@ def is_balanced(d: DiceSet) -> bool:
 def compact_labels(d: DiceSet) -> DiceSet:
     """Relabel faces with their ranks 1..N, N = n*k; order-preserving, so every matchup is unchanged.
 
-    Refuses what :func:`dice_set` refuses, with the same error.  A set it
-    made whose largest label is N (odd n and n = 2 (mod 4) builds) comes
-    back as it is, with no pass over its labels.  Any other set goes once
-    through dice_set's checks, whose label flags, when the labels are at
-    most 2N (an n = 0 (mod 4) build skips one per column), give the ranks
-    as running counts; sparser labels are sorted and ranked through a dict.
+    Refuses what :func:`dice_set` refuses, with the same error, from the
+    same label check, which runs at most once per set.  A set whose labels
+    are exactly 1..N (odd n and n = 2 (mod 4) builds) comes back as it is.
+    The check's label flags, when the labels are at most 2N (an n = 0
+    (mod 4) build skips one per column), give the ranks as running counts;
+    sparser labels are sorted and ranked through a dict.
     """
-    n_labels = d.n * d.sides
-    if 0 < d._checked_top == n_labels:  # checked, so distinct labels 1..N: their own ranks
-        return d
-    d, present = _checked_set(d.faces)
-    if d._checked_top == n_labels:
-        return d
-    if present:
-        # present stays bound until return: freeing it before the relabelling lowered the tracemalloc peak
-        # at n = 1000 from 56.6 to 48.6 MB, but raised build_large's peak RSS from 39.3 to 41.9 MB
-        rank = list(accumulate(present))  # rank[x]: labels present at or below x
-    else:
+    flags, n_labels = d._label_flags, d.n * d.sides
+    if flags is None:
         rank = dict(zip(sorted(chain.from_iterable(d.faces)), range(1, n_labels + 1)))
+    elif len(flags) == n_labels + 1:  # distinct labels, none above N: their own ranks
+        return d
+    else:
+        rank = list(accumulate(flags))  # rank[x]: labels present at or below x
     # one C call per die; itemgetter of a single key returns the bare rank, so a one-face die is mapped by hand
-    faces = [itemgetter(*die)(rank) if len(die) > 1 else tuple([rank[x] for x in die]) for die in d.faces]
-    return DiceSet(tuple(faces))
+    return DiceSet([itemgetter(*die)(rank) if len(die) > 1 else [rank[x] for x in die] for die in d.faces])
 
 
 def serialize_dice(d: DiceSet, fmt: str = "json") -> bytes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Callable, Iterable, Sequence
 from itertools import combinations, compress
 
@@ -148,8 +149,11 @@ def _blank(n: int) -> tuple[bytearray, list[int]]:
     """n*n unset cells, and offsets with ``row[i] + j`` the cell of i -> j.
 
     ``row`` is a list, not a range, so that indexing it makes no new int.
+    An n whose n*n cells no index reaches is refused before anything is made.
     """
     _check_vertex_count(n)
+    if n * n > sys.maxsize:
+        raise VertexOutOfRangeError(f"n is too large for an n*n cell array, got {_echo(n)}")
     return bytearray(b"0") * (n * n), list(range(-n - 1, n * n, n))
 
 

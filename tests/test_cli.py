@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tourneydice import cli
-from tourneydice.tournament import parse_tournament, serialize_tournament, transitive
+from tourneydice import cli, errors
+from tourneydice.dice import build_dice, parse_dice, serialize_dice
+from tourneydice.tournament import parse_tournament, random_tournament, serialize_tournament, transitive
 
 
 def test_start_loads_no_module_a_command_does_not_need():
@@ -381,17 +383,58 @@ def test_csv_dice_round_trip(run, tmp_path, n):
     assert run(["verify", "--tournament", str(tmp_path / "t.json")], stdin=dice_csv.encode())[0] == 0
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.binary(max_size=300))
+WIRE_FILES = [  # valid inputs at n = 3-6: tournament JSON and matrix, dice JSON and CSV
+    data
+    for t in [random_tournament(n, n) for n in range(3, 7)]
+    for data in (serialize_tournament(t, "json"), serialize_tournament(t, "matrix"),
+                 serialize_dice(build_dice(t), "json"), serialize_dice(build_dice(t), "csv"))
+]
+
+
+# what an edit may insert: an overflowing float, JSON words, a 30-digit int, NUL, a byte that is not UTF-8,
+# a line separator str.splitlines breaks at, Arabic digits that str.isdigit accepts, and signs
+INSERTS = [b"1e400", b"true", b"NaN", b"9" * 30, b"\x00", b"\xff", "\u2028".encode(), "\u0663\u0664".encode(),
+           b"+", b"-"]
+
+
+@st.composite
+def edited_wire_files(draw):
+    """A valid wire file after one to three deletes or inserts, each of one byte or of one token."""
+    data = draw(st.sampled_from(WIRE_FILES))
+    # a token is a run of digits or any other single byte
+    pieces = re.findall(rb"[0-9]+|.", data, re.S) if draw(st.booleans()) else [bytes([b]) for b in data]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(pieces)))
+        if at < len(pieces) and draw(st.booleans()):
+            del pieces[at]
+        else:
+            pieces.insert(at, draw(st.sampled_from(INSERTS)))
+    return b"".join(pieces)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=300) | edited_wire_files())
 def test_arbitrary_bytes_exit_cleanly(run, tmp_path, data):
-    """Any input ends in exit 0, 1 or 2 with at most one bounded stderr line."""
+    """Any input ends in exit 0, 1 or 2, with no output on 2 and at most one bounded stderr line.
+
+    The parsers behind the CLI raise only the package's own errors on it.
+    """
     path = tmp_path / "input"
     path.write_bytes(data)
     for argv in (["build"], ["stats"], ["matchup", "--pair", "1", "2"],
                  ["verify", "--tournament", str(path)]):
-        code, _, err = run(argv, stdin=data)
+        code, out, err = run(argv, stdin=data)
         assert code in (0, 1, 2), argv
         assert err.count("\n") <= 1 and len(err) <= len("error: \n") + cli.MAX_ERROR_CHARS, argv
+        if code == 2:
+            assert out == "" and err.startswith("error: "), argv
+    for parse, fmt in ((parse_tournament, "json"), (parse_tournament, "matrix"), (parse_dice, "json"),
+                       (parse_dice, "csv")):
+        try:
+            parse(data, fmt)
+        except Exception as exc:
+            assert type(exc).__module__ == errors.__name__, (parse.__name__, fmt, exc)
 
 
 def test_pipes_compose_for_all_kinds(run, tmp_path):

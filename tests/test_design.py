@@ -83,43 +83,40 @@ def test_pairs_become_a_tournament_only_through_from_edges():
 
 
 def test_label_record_is_written_only_by_the_label_check_and_read_only_by_compact_labels():
-    """``DiceSet._checked_top`` is the largest label _checked_set found; only compact_labels may trust it.
+    """``DiceSet._label_flags`` caches the label check's flags; only dice_set and compact_labels read it.
 
-    It defaults to 0 on the class, _checked_set (behind dice_set) sets it on
-    the sets it returns, and compact_labels reads it to return a checked set
-    labelled 1..N untouched.  Nothing else names it, so no check of the
-    oracle can come to depend on it.
+    The cached property is its only writer: no package code names it in a
+    string, as ``setattr``, ``__setattr__``, ``getattr`` or a ``__dict__``
+    key would, or as a keyword, and none assigns or deletes the attribute.
+    ``dice_set`` reads it once to run the check, and compact_labels once to
+    rank from its flags.  Nothing else reads it, so neither ``_pair_wins``
+    nor any whole-set check can come to depend on it.
     """
-    record = "_checked_top"
+    record = "_label_flags"
     nodes = _nodes()
-    written = {
-        id(node.args[1])
-        for _, _, node in nodes
-        if isinstance(node, ast.Call) and _name(node.func) in ("setattr", "__setattr__") and len(node.args) > 1
-    }
     uses = []
     for module, scope, node in nodes:
         if isinstance(node, ast.Constant) and node.value == record:
-            uses.append((module, scope, "write" if id(node) in written else "string"))
+            uses.append((module, scope, "string"))
+        elif isinstance(node, ast.keyword) and node.arg == record:
+            uses.append((module, scope, "keyword"))
         elif isinstance(node, ast.Attribute) and node.attr == record:
             uses.append((module, scope, "read" if isinstance(node.ctx, ast.Load) else "write"))
         elif isinstance(node, ast.Name) and node.id == record:
-            uses.append((module, scope, "read" if isinstance(node.ctx, ast.Load) else "assign"))
-    assert set(uses) == {
-        ("dice.py", "DiceSet", "assign"),
-        ("dice.py", "compact_labels", "read"),
-        ("dice.py", "_checked_set", "write"),
-    }
-    assert uses.count(("dice.py", "DiceSet", "assign")) == uses.count(("dice.py", "_checked_set", "write")) == 1
+            uses.append((module, scope, "name"))
+    assert sorted(uses) == [("dice.py", "compact_labels", "read"), ("dice.py", "dice_set", "read")]
+    (prop,) = [(module, scope, node) for module, scope, node in nodes if getattr(node, "name", None) == record]
+    assert prop[:2] == ("dice.py", "DiceSet")
+    assert [ast.unparse(d) for d in prop[2].decorator_list] == ["cached_property"]
 
 
 def test_label_rule_is_checked_only_by_one_function():
-    """The face-label rule, every label a plain int >= 1 and none repeated, has one copy: ``_checked_set``'s.
+    """The face-label rule, every label a plain int >= 1 and none repeated, has one copy: ``DiceSet._label_flags``.
 
-    Only ``_checked_set`` raises the "is not a positive integer" error and
-    makes a ``DuplicateLabelError``.  ``dice_set`` and ``compact_labels``
-    raise nothing themselves and call it, compact_labels at one site, so
-    both refuse what it refuses, alike.
+    Only that cached property raises the "is not a positive integer" error
+    and makes a ``DuplicateLabelError``.  ``dice_set`` and ``compact_labels``
+    raise nothing themselves and each read it once, so both refuse what it
+    refuses, alike.
     """
     nodes = _nodes()
     positive = {
@@ -129,24 +126,24 @@ def test_label_rule_is_checked_only_by_one_function():
         and any(isinstance(part, ast.Constant) and "is not a positive integer" in str(part.value)
                 for part in ast.walk(node))
     }
-    assert positive == {("dice.py", "_checked_set")}
+    assert positive == {("dice.py", "DiceSet._label_flags")}
     repeats = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "DuplicateLabelError"}
-    assert repeats == {("dice.py", "_checked_set")}
+    assert repeats == {("dice.py", "DiceSet._label_flags")}
     for caller in ("dice_set", "compact_labels"):
         body = [node for module, scope, node in nodes if (module, scope) == ("dice.py", caller)]
         assert [node.lineno for node in body if isinstance(node, ast.Raise)] == []
-        assert len([node for node in body if isinstance(node, ast.Call) and _name(node.func) == "_checked_set"]) == 1
+        assert len([node for node in body if isinstance(node, ast.Attribute) and node.attr == "_label_flags"]) == 1
 
 
 def test_one_function_allocates_a_label_table():
-    """One label-indexed table: the flags ``_checked_set`` makes for its repeat check, handed to compact_labels.
+    """One label-indexed table: the flags ``DiceSet._label_flags`` makes for its repeat check, read by compact_labels.
 
-    A list by repetition, ``[0] * size``, is made in dice.py only by
-    ``_label_columns`` (one slot per vertex) and ``_checked_set`` (one slot
-    per label value).  ``compact_labels`` takes no ``max`` of its own and
-    makes no table by repetition, ``bytearray`` or ``array``: it ranks from
-    the flags the check hands over, so a set needing ranks has its labels
-    flagged once.
+    In dice.py a list by repetition, ``[0] * size``, is made only by
+    ``_label_columns`` (one slot per vertex), and a ``bytearray`` only by
+    the label check (one slot per label value).  ``compact_labels`` takes
+    no ``max`` of its own and makes no table by repetition, ``bytearray``
+    or ``array``: it ranks from the flags the check cached, so a set
+    needing ranks has its labels flagged once.
     """
     tables = set()
     compact = []
@@ -155,10 +152,12 @@ def test_one_function_allocates_a_label_table():
             continue
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
             if isinstance(node.left, (ast.List, ast.ListComp)) or isinstance(node.right, (ast.List, ast.ListComp)):
-                tables.add(scope)
+                tables.add((scope, "list"))
+        if isinstance(node, ast.Call) and _name(node.func) in ("bytearray", "array", "fromkeys"):
+            tables.add((scope, _name(node.func)))
         if scope == "compact_labels":
             compact.append(node)
-    assert tables == {"_label_columns", "_checked_set"}
+    assert tables == {("_label_columns", "list"), ("DiceSet._label_flags", "bytearray")}
     calls = {_name(node.func) for node in compact if isinstance(node, ast.Call)}
     assert not calls & {"max", "bytearray", "array", "fromkeys"}
 

@@ -251,6 +251,13 @@ class TestDiceSetValidation:
             dice_set([[4, 0], [True, "3"]])
 
 
+    def test_faces_are_frozen_into_tuples(self):
+        d = DiceSet([[1, 4], [3, 2]])
+        assert d.faces == ((1, 4), (3, 2))
+        assert type(d.faces) is tuple and all(type(die) is tuple for die in d.faces)
+        assert d == DiceSet(((1, 4), (3, 2))) and hash(d) == hash(DiceSet(((1, 4), (3, 2))))
+
+
 class TestBuildOdd:
     def test_fig8_golden(self):
         assert build_dice(almost_transitive(7)).faces == FIG8
@@ -813,6 +820,35 @@ class TestCompactLabels:
                 compact_labels(DiceSet(faces))
             assert str(info.value) == message
 
+    def test_parsed_set_is_checked_once(self, monkeypatch):
+        # parse_dice checks the set through dice_set; compact_labels ranks from that check's cached flags
+        rule = DiceSet.__dict__["_label_flags"]
+        check, checked = rule.func, []
+        monkeypatch.setattr(rule, "func", lambda d: checked.append(d) or check(d))
+        d = parse_dice(serialize_dice(build_dice(random_tournament(8, 8))))
+        c = compact_labels(d)
+        assert len(checked) == 1 and checked[0] is d
+        assert sorted(chain.from_iterable(c.faces)) == list(range(1, 8 * 9 + 1))
+
+    @pytest.mark.parametrize(
+        "faces, error, message",
+        [
+            (((1, 2), (2, 3)), DuplicateLabelError, "face labels are not pairwise distinct"),
+            (((1, 10**6), (10**6, 3)), DuplicateLabelError, "face labels are not pairwise distinct"),
+            (((1, 2), (0, 3)), ParseError, "face label 0 is not a positive integer"),
+            (((1, 2), (3,)), SideCountMismatchError, "die 2 has 1 sides, expected 2"),
+        ],
+    )
+    def test_refused_set_raises_again_on_every_read(self, faces, error, message):
+        # a cached_property caches nothing on an exception, so the check runs, and raises, on every read
+        d = DiceSet(faces)
+        for _ in range(2):
+            for check in (compact_labels, *TestSharedSweep.checks(transitive(2))):
+                with pytest.raises(error) as info:
+                    check(d)
+                assert str(info.value) == message
+        assert "_label_flags" not in vars(d) and "_pair_wins" not in vars(d)
+
     def test_repeated_label_refused_when_largest_equals_count(self):
         # largest label 4 over four faces, smallest 1, all plain ints: only the repeat of 4 rules out 1..4
         with pytest.raises(DuplicateLabelError, match="face labels are not pairwise distinct"):
@@ -892,9 +928,9 @@ class TestCompactLabels:
             assert hashlib.sha256(serialize_dice(compact_labels(source))).hexdigest() == digest
 
     def test_memory_bound_at_n_1000(self):
-        # an n = 0 (mod 4) build skips one label per column; tracemalloc peak on CPython 3.11: 56.6 MB, the
-        # check's flags alive beside the ranks (48.6 MB when freed first), the same when the check and the
-        # ranking flagged the labels apart, against 93.7 MB when such a set was sorted and ranked through a dict
+        # an n = 0 (mod 4) build skips one label per column; tracemalloc peak on CPython 3.11: 49.6 MB, the
+        # check's bytearray of flags beside the ranks, against 56.6 MB with a list of flags and 93.7 MB when
+        # such a set was sorted and ranked through a dict
         d = build_dice(random_tournament(1000, 1))
         tracemalloc.start()
         try:
@@ -907,8 +943,9 @@ class TestCompactLabels:
 
     def test_memory_bound_at_n_1001(self):
         # the labels of an odd build are already 1..n*k, which needs no rank table; tracemalloc peak on
-        # CPython 3.11: 8.5 MB, the check's flags, its label list freed first (16.5 MB with both alive),
-        # against 48.6 MB when such a set was ranked through a table of running counts
+        # CPython 3.11: 9.5 MB, the check's label list and its bytearray of flags (8.5 MB with a list of
+        # flags made once the label list was freed), against 48.6 MB when such a set was ranked through a
+        # table of running counts
         d = build_dice(random_tournament(1001, 1))
         tracemalloc.start()
         try:

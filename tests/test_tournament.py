@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -362,6 +363,24 @@ def reference_random_tournament(n, seed):
 def test_random_tournament_matches_per_pair_draws(seed):
     for n in range(1, 41):
         assert random_tournament(n, seed) == reference_random_tournament(n, seed), n
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [
+        (transitive, 10**5000),
+        (almost_transitive, 10**5000),
+        (lambda n: random_tournament(n, 1), 10**5000),
+        (transitive, math.isqrt(sys.maxsize) + 1),
+    ],
+    ids=["transitive", "almost_transitive", "random", "transitive-first-unindexable"],
+)
+def test_generators_refuse_an_n_whose_cells_cannot_be_indexed(make, n):
+    # refused before the n*n cell array is asked for, with the package's own error and a bounded quote of n
+    with pytest.raises(VertexOutOfRangeError) as info:
+        make(n)
+    echoed = "<unprintable>" if n > 10**4000 else str(n)
+    assert str(info.value) == f"n is too large for an n*n cell array, got {echoed}"
 
 
 @pytest.mark.parametrize("n", [0, -3])
