@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from ._value import _Value
 from .errors import DuplicateLabelError, ParityError, ParseError, SideCountMismatchError, TieDetectedError, _echo
-from .factorization import OneFactorization, _rows, even_rounds, odd_rounds
+from .factorization import _rows, even_rounds, odd_rounds
 from .tournament import Tournament, _json_object, _text_lines, _with_top, from_edges
 
 
@@ -102,6 +102,7 @@ def face_wins(a: Sequence[int], b: Sequence[int]) -> int:
     Exhaustive enumeration on purpose: this is the verification oracle and
     shares no code with the construction.
     """
+    b = tuple(b)  # read once, so a one-shot b is not used up by a's first face; a tuple comes back as it is
     return len([0 for x in a for y in b if x > y])
 
 
@@ -115,7 +116,7 @@ def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:
     from fractions import Fraction  # loaded here, not at import: it also loads decimal
 
     ((_, _, wins_a, wins_b),) = DiceSet((a, b))._pair_wins
-    return Matchup(wins_a, wins_b, Fraction(wins_a, len(a) * len(b)))
+    return Matchup(wins_a, wins_b, Fraction(wins_a, wins_a + wins_b))  # distinct labels: the pair splits all k^2
 
 
 def dominance(d: DiceSet) -> Tournament:
@@ -141,21 +142,21 @@ def build_dice(t: Tournament) -> DiceSet:
     return build_0mod4(t)
 
 
-def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
-    """Give column i the labels n(i-1)+1, n(i-1)+2, ... in the order of round i's slots.
+def _label_columns(t: Tournament, rows: Iterable[Iterable[tuple[int, int]]]) -> DiceSet:
+    """Give column i the labels n(i-1)+1, n(i-1)+2, ... in the order of the slots of round i of rows.
 
     A running label, starting at 1, walks the slots of every round in turn:
-    the vertex sitting the round out (odd n: vertex i sits out round i)
-    takes one label, then each pair takes the next two, the loser the lower
-    and the winner the higher, so every matched pair gets adjacent labels.
+    the vertex sitting the round out (odd n = t.n: vertex i sits out round i)
+    takes one label, then each pair, in either orientation, takes the next
+    two, the loser the lower and the winner the higher, so matched pairs get adjacent labels.
     """
-    n, top = f.n, 1 << (f.n + 1)
+    n, top = t.n, 1 << (t.n + 1)
     # bits[a][b] is "1" iff a beats b: row a shifted up one bit and read lowest first, so index b holds
     # bit b-1; with bit n+1 set, bin() is "0b1" + n+1 bits; bits[0] stands in for the absent vertex 0
     bits = [""] + [bin(row << 1 | top)[:2:-1] for row in t.rows]
     label = 1
     columns = []
-    for i, row in enumerate(_rows(f.n), start=1):  # off the circle formula, none stored
+    for i, row in enumerate(rows, start=1):
         column = [0] * (n + 1)  # column[v] is die v's label; slot 0 is unused
         if n % 2:
             column[i] = label
@@ -172,14 +173,15 @@ def _label_columns(t: Tournament, f: OneFactorization) -> DiceSet:
 
 def build_odd(t: Tournament) -> DiceSet:
     """Odd-n construction: n dice with n sides, column i labelled by round i of :func:`odd_rounds`."""
-    if t.n == 1:
-        return DiceSet(((1,),))
-    return _label_columns(t, odd_rounds(t.n))  # odd_rounds raises the ParityError for an even n
+    if t.n > 1:  # odd_rounds refuses an even n; K_1's one round is empty, and the labeller gives it ((1,),)
+        odd_rounds(t.n)
+    return _label_columns(t, _rows(t.n))  # off the circle formula, none stored
 
 
 def build_even_2mod4(t: Tournament) -> DiceSet:
     """n = 2 (mod 4) construction: n dice with n-1 sides, column i labelled by round i of :func:`even_rounds`."""
-    return _label_columns(t, even_rounds(t.n))  # even_rounds raises the ParityError for any other n
+    even_rounds(t.n)  # raises the ParityError for any other n
+    return _label_columns(t, _rows(t.n))  # off the circle formula, none stored
 
 
 def build_0mod4(t: Tournament) -> DiceSet:

@@ -237,15 +237,18 @@ def test_imports_that_slow_every_start_are_absent_or_deferred():
 def test_dice_build_walks_rows_not_stored_rounds():
     """No module but ``factorization.py`` reads ``.rounds`` to build dice, and no ``tuple()`` takes a row directly.
 
-    ``_label_columns`` walks ``factorization._rows(n)``, which reads each
-    round's pairs off the circle formula, so a build stores no round; only
-    the CLI's ``factor`` output reads ``.rounds`` outside that module.  Where
-    the rows are turned into tuples, each goes through a list first, as
+    ``build_odd`` and ``build_even_2mod4`` hand ``_label_columns`` the rows
+    of ``factorization._rows(n)``, which reads each round's pairs off the
+    circle formula, so a build stores no round; only the CLI's ``factor``
+    output reads ``.rounds`` outside that module.  ``_label_columns`` labels
+    the rows it is handed, its ``rows`` parameter.  Where the rows are
+    turned into tuples, each goes through a list first, as
     ``test_tuples_are_built_from_sources_of_known_size`` asks.  On CPython
     3.11 the tracemalloc peak of ``build_dice`` at n = 1001 was 81.3 MB with
     every round stored first and 49.3 MB with the rows walked.
     """
     generators = {"_rows"}
+    parameters = {("dice.py", "_label_columns"): {"rows"}}  # row sources handed in, by scope
     nodes = _nodes()
     readers = {
         (module, scope)
@@ -255,24 +258,35 @@ def test_dice_build_walks_rows_not_stored_rounds():
     }
     assert readers == {("cli.py", "_format_rounds_table"), ("cli.py", "_cmd_factor")}
     walkers = {(module, scope) for module, scope, call in _calls() if _name(call.func) == "_rows"}
-    assert walkers == {("dice.py", "_label_columns"), ("factorization.py", "OneFactorization.rounds")}
+    assert walkers == {
+        ("dice.py", "build_odd"),
+        ("dice.py", "build_even_2mod4"),
+        ("factorization.py", "OneFactorization.rounds"),
+    }
 
-    # names bound, in each scope, by a loop over one of the generators: the rows (and their indices)
+    def is_source(node, key):
+        return (
+            isinstance(node, ast.Call) and _name(node.func) in generators
+            or isinstance(node, ast.Name) and node.id in parameters.get(key, ())
+        )
+
+    # names bound, in each scope, by a loop over a row source: the rows (and their indices)
     bound = {}
     for module, scope, node in nodes:
         if isinstance(node, (ast.For, ast.comprehension)) and any(
-            isinstance(call, ast.Call) and _name(call.func) in generators for call in ast.walk(node.iter)
+            is_source(source, (module, scope)) for source in ast.walk(node.iter)
         ):
             names = {name.id for name in ast.walk(node.target) if isinstance(name, ast.Name)}
             bound.setdefault((module, scope), set()).update(names)
-    assert bound  # the build and the rounds property both loop over the rows
+    assert set(bound) == {("dice.py", "_label_columns"), ("factorization.py", "OneFactorization.rounds")}
     direct = [
         f"{module}:{call.lineno} in {scope}"
         for module, scope, call in _calls()
         if _name(call.func) == "tuple" and call.args
         and (
             isinstance(call.args[0], ast.Name) and call.args[0].id in bound.get((module, scope), ())
-            or isinstance(call.args[0], ast.Call) and _name(call.args[0].func) in generators | {"chain", "islice"}
+            or is_source(call.args[0], (module, scope))
+            or isinstance(call.args[0], ast.Call) and _name(call.args[0].func) in {"chain", "islice"}
         )
     ]
     assert direct == []

@@ -50,6 +50,8 @@ from tourneydice.errors import (
     TieDetectedError,
 )
 
+from left_counts import left_count
+
 EQ1 = dice_set([[1, 5, 9], [3, 4, 8], [2, 6, 7]])
 FIG1 = from_edges(3, [(1, 2), (2, 3), (3, 1)])
 FIG8 = (
@@ -73,6 +75,10 @@ class TestFaceWins:
     def test_single_faces(self):
         assert face_wins([2], [1]) == 1
         assert face_wins([1], [2]) == 0
+
+    def test_one_shot_b_is_read_once(self):
+        # b is frozen before the sweep: a's first face does not use up an iterator b
+        assert face_wins([5, 6], iter([1, 2])) == 4
 
     @given(labels=st.sets(st.integers(1, 10**6), min_size=2, max_size=40))
     def test_disjoint_dice_split_all_pairs(self, labels):
@@ -129,6 +135,10 @@ class TestMatchup:
 
     def test_single_face(self):
         assert matchup([2], [1]).probability == Fraction(1)
+
+    def test_one_shot_dice(self):
+        # the probability comes from the frozen pair's own counts, which need no len() of the dice given
+        assert matchup(iter([1, 5, 9]), iter([3, 4, 8])) == (5, 4, Fraction(5, 9))
 
     def test_side_count_mismatch(self):
         with pytest.raises(SideCountMismatchError):
@@ -413,9 +423,29 @@ class TestBuildDice:
         from tourneydice.factorization import even_rounds, odd_rounds
 
         factorizations = [odd_rounds(m) for m in range(3, 66, 2)] + [even_rounds(m) for m in range(2, 67, 4)]
-        for f in factorizations:
+        for f in factorizations:  # handed the stored rounds, low vertex first, as verify_partition certifies them
             for t in [transitive(f.n)] + [random_tournament(f.n, seed) for seed in (1, 2, 3)]:
-                assert _label_columns(t, f).faces == self.order_list_labels(t, f), (f.n, t)
+                assert _label_columns(t, f.rounds).faces == self.order_list_labels(t, f), (f.n, t)
+
+    @pytest.mark.parametrize("n, shuffles", [(9, 2), (11, 1), (13, 1)])
+    def test_labels_the_rounds_it_is_handed(self, n, shuffles):
+        # round 1's columns shuffled until the left/right lemma fails for some pair: the same pairs in a new
+        # column order, labelled as handed, realize none of the tournaments the certified rounds realize
+        from tourneydice.dice import _label_columns
+
+        f, rng = odd_rounds(n), random.Random(n)
+        for tries in range(1, 10):
+            row = list(f.rounds[0])
+            rng.shuffle(row)
+            shuffled = (tuple(row),) + f.rounds[1:]
+            g = OneFactorization(n, shuffled)
+            if any(c.less != c.greater for c in (left_count(g, w, x) for w, x in combinations(range(1, n + 1), 2))):
+                break
+        assert tries == shuffles
+        assert sorted(shuffled[0]) == sorted(f.rounds[0])
+        tournaments = [random_tournament(n, s) for s in range(1, 6)]
+        assert not any(verify_realization(_label_columns(t, shuffled), t).realized for t in tournaments)
+        assert all(verify_realization(_label_columns(t, f.rounds), t).realized for t in tournaments)
 
     @pytest.mark.parametrize("n", [7, 8, 10])
     def test_build_reads_rounds_off_the_formula(self, n, monkeypatch):
