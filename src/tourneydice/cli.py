@@ -108,10 +108,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _format_rounds_table(f) -> str:
-    lines = []
-    for i, row in enumerate(f.rounds, start=1):
-        pairs = " ".join(f"{{{a},{b}}}" for a, b in row)
-        lines.append(f"Y_{i}: {pairs}")
+    lines = [f"Y_{i}:" + "".join([f" {{{a},{b}}}" for a, b in row]) for i, row in enumerate(f.rounds, start=1)]
     return "\n".join(lines)
 
 
@@ -198,8 +195,7 @@ def _factor_options(factor: argparse.ArgumentParser) -> None:
         "--n",
         type=int,
         required=True,
-        help=f"odd n >= 3 or n = 2 (mod 4), at most {MAX_N}; n = 1 and n = 0 (mod 4) exit 2 "
-        "(build accepts them)",
+        help=f"positive odd n or n = 2 (mod 4), at most {MAX_N}; n = 0 (mod 4) exits 2 (build accepts it)",
     )
     factor.add_argument("--format", choices=["json", "table"], default="json")
     factor.add_argument("--output", "-o", default="-")

@@ -173,8 +173,7 @@ def _label_columns(t: Tournament, rows: Iterable[Iterable[tuple[int, int]]]) -> 
 
 def build_odd(t: Tournament) -> DiceSet:
     """Odd-n construction: n dice with n sides, column i labelled by round i of :func:`odd_rounds`."""
-    if t.n > 1:  # odd_rounds refuses an even n; K_1's one round is empty, and the labeller gives it ((1,),)
-        odd_rounds(t.n)
+    odd_rounds(t.n)  # raises the ParityError for an even n
     return _label_columns(t, _rows(t.n))  # off the circle formula, none stored
 
 

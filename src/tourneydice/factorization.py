@@ -74,8 +74,8 @@ def _derived(n: int) -> OneFactorization:
 
 def odd_rounds(n: int) -> OneFactorization:
     """Round i pairs up {i+j, i-j} mod n for j = 1..(n-1)/2; vertex i sits out."""
-    if type(n) is not int or n < 3 or n % 2 == 0:
-        raise ParityError(f"odd construction needs odd n >= 3, got {_echo(n)}")
+    if type(n) is not int or n < 1 or n % 2 == 0:
+        raise ParityError(f"odd construction needs a positive odd n, got {_echo(n)}")
     return _derived(n)
 
 
@@ -121,8 +121,8 @@ def verify_partition(f: OneFactorization) -> PartitionReport:
     floor(n/2) pairs, so only n rounds (odd n) or n - 1 rounds (even n) of
     them hold the n(n-1)/2 edges: with any other count, (a) or a per-round
     check fails.
-    ``OneFactorization(1, ())`` reports ok: K_1 has no edge, and no rounds
-    function makes n = 1.
+    K_1 has no edge: ``odd_rounds(1)``, one empty round that vertex 1 sits
+    out, reports ok, and so does ``OneFactorization(1, ())``.
     """
     bad_n = _check_vertex_count(f.n, raising=False)
     fault = bad_n or _malformed(f.rounds)

@@ -175,7 +175,7 @@ def test_criterion_6_guaranteed_wins(corpus, win_tables):
 
 def test_criterion_7_partition_sweep():
     failures = []
-    for n in range(3, 102, 2):
+    for n in range(1, 102, 2):
         if not verify_partition(odd_rounds(n)).ok:
             failures.append(f"odd n={n}")
     for n in range(2, 103, 4):

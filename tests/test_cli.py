@@ -164,6 +164,12 @@ class TestFactor:
             "rounds": [[[2, 3]], [[1, 3]], [[1, 2]]],
         }
 
+    def test_n1_json(self, run):
+        assert run(["factor", "--n", "1"]) == (0, '{"n":1,"parity":"odd","rounds":[[]]}\n', "")
+
+    def test_n1_table(self, run):
+        assert run(["factor", "--n", "1", "--format", "table"]) == (0, "Y_1:\n", "")
+
     def test_unconstructible_n(self, run):
         code, _, err = run(["factor", "--n", "4"])
         assert code == 2

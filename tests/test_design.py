@@ -292,6 +292,22 @@ def test_dice_build_walks_rows_not_stored_rounds():
     assert direct == []
 
 
+def test_build_odd_asks_odd_rounds_with_no_condition():
+    """``build_odd``'s first statement is the bare call ``odd_rounds(t.n)``, and it holds no ``if`` and no literal.
+
+    The residue rule has one site, the rounds function, and K_1 is an
+    ordinary odd case there, so the builder has no case of n of its own.
+    """
+    (build_odd,) = [
+        node for module, scope, node in _nodes()
+        if (module, scope) == ("dice.py", "") and isinstance(node, ast.FunctionDef) and node.name == "build_odd"
+    ]
+    body = build_odd.body[1:] if ast.get_docstring(build_odd) is not None else build_odd.body
+    assert ast.unparse(body[0]) == "odd_rounds(t.n)"
+    nodes = [node for statement in body for node in ast.walk(statement)]
+    assert not [node.lineno for node in nodes if isinstance(node, (ast.If, ast.IfExp, ast.Constant))]
+
+
 def test_value_protocol_is_defined_once():
     """One class defines the read-only value protocol; ``DiceSet``, ``Tournament`` and ``OneFactorization`` inherit it.
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import random
+import re
 import sys
 import tracemalloc
 from bisect import bisect_left
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import tourneydice.dice
 from tourneydice import (
@@ -592,6 +593,38 @@ class TestAuditsAndBalance:
     def test_audit_size_mismatch(self, dice_n, tournament_n):
         audit = guaranteed_wins_audit(build_dice(transitive(dice_n)), transitive(tournament_n))
         assert audit.failures == (f"dice count {dice_n} != tournament size {tournament_n}",)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_audit_is_the_verify_report_s_two_fields(self, data):
+        # with distinct labels and equal side counts each pair's counts sum to k^2, so the winner has (k^2+1)/2
+        # exactly when the loser has (k^2-1)/2: the audit is ok iff the set realizes t and is balanced, and it
+        # names exactly the pairs that verify fails or that miss the balanced split
+        n = data.draw(st.integers(2, 9), label="n")
+        kind = data.draw(st.sampled_from(["built", "swapped", "other", "tied", "lopsided"]), label="kind")
+        t = random_tournament(n, data.draw(st.integers(0, 2**32), label="seed"))
+        if kind == "tied":  # k = 2, every pair tied 2-2
+            d = dice_set([[v, 2 * n + 1 - v] for v in range(1, n + 1)])
+        elif kind == "lopsided":  # k = 2, the higher die wins all four face pairs
+            d = dice_set([[2 * v - 1, 2 * v] for v in range(1, n + 1)])
+        else:
+            d = build_dice(t)
+            if kind == "swapped":  # one label swapped between two dice
+                faces = [list(die) for die in d.faces]
+                a = data.draw(st.integers(0, n - 1), label="die")
+                b = (a + data.draw(st.integers(1, n - 1), label="offset")) % n
+                i, j = data.draw(st.tuples(st.integers(0, d.sides - 1), st.integers(0, d.sides - 1)), label="faces")
+                faces[a][i], faces[b][j] = faces[b][j], faces[a][i]
+                d = dice_set(faces)
+            elif kind == "other":  # checked against another tournament of the same n
+                t = random_tournament(n, data.draw(st.integers(0, 2**32), label="other seed"))
+        k = d.sides
+        audit, r = guaranteed_wins_audit(d, t), verify_realization(d, t)
+        assert audit.ok == (r.realized and r.balance_ok)
+        named = {tuple(map(int, re.match(r"pair \((\d+),(\d+)\)", failure).groups())) for failure in audit.failures}
+        assert named == {
+            (e.i, e.j) for e in r.matchups if not e.ok or 2 * max(e.wins_i, e.wins_j) != k * k + 1
+        }
 
     def test_builds_are_balanced(self):
         for n in (1, 2, 3, 4, 6, 7, 9):

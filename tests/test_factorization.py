@@ -73,9 +73,16 @@ class TestOddRounds:
         with pytest.raises(ParityError):
             odd_rounds(n)
 
-    def test_n1_rejected(self):
-        with pytest.raises(ParityError):
-            odd_rounds(1)
+    def test_n1_is_one_empty_round(self):
+        # K_1 is an ordinary odd case: one round, no pair, and vertex 1 sits it out
+        f = odd_rounds(1)
+        assert f.rounds == ((),)
+        assert verify_partition(f).ok
+
+    @pytest.mark.parametrize("n", [0, -1, True])
+    def test_nonpositive_or_bool_n_rejected(self, n):
+        with pytest.raises(ParityError, match="odd construction needs a positive odd n"):
+            odd_rounds(n)
 
 
 class TestEvenRounds:
@@ -322,7 +329,7 @@ def test_partition_wrong_round_count_fails(make, n):
 
 
 def test_partition_of_k1_passes():
-    # K_1 has no edge, so no rounds partition it; no rounds function makes n = 1
+    # K_1 has no edge, so no check counts its rounds: no round at all passes too
     assert verify_partition(OneFactorization(1, ())).ok
 
 

@@ -1,6 +1,7 @@
 """The package's public names: bound lazily, all from the three library modules at once."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +56,10 @@ def test_import_loads_no_module_until_a_public_name_is_read():
 def test_submodule_names_resolve_on_the_package(module):
     code = f"import sys; import tourneydice as td; print(td.{module} is sys.modules['tourneydice.{module}'])"
     assert _fresh(code) == ["True"]
+
+
+def test_readme_lists_the_public_names():
+    # the README sentence on the exports names each name of __all__ once, in backticks, and nothing else
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sentence,) = re.findall(r"The package exports .*?\.(?:\s|$)", readme, re.S)
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(tourneydice.__all__)

@@ -559,7 +559,7 @@ def unprintable(call, error, template, id):
                      id="out-of-range"),
         pytest.param(lambda: from_edges(HUGE, [(1, HUGE), (HUGE, 1)]), DuplicateEdgeError,
                      "pair {{1,{}}} oriented twice", str(HUGE), id="repeat"),
-        pytest.param(lambda: odd_rounds(BIG), ParityError, "odd construction needs odd n >= 3, got {}", BIG,
+        pytest.param(lambda: odd_rounds(BIG), ParityError, "odd construction needs a positive odd n, got {}", BIG,
                      id="odd-rounds-n"),
         pytest.param(lambda: serialize_tournament(transitive(2), BIG), ValueError, "unknown format {}", repr(BIG),
                      id="serialize-tournament-format"),
@@ -579,7 +579,7 @@ def unprintable(call, error, template, id):
         unprintable(lambda: paley(-TOO_LONG), NotPrimeError, "{} is not prime", id="unprintable-paley-p"),
         unprintable(lambda: almost_transitive(-TOO_LONG), NTooSmallError, "almost-transitive needs n >= 3, got {}",
                     id="unprintable-almost-transitive-n"),
-        unprintable(lambda: odd_rounds(-TOO_LONG), ParityError, "odd construction needs odd n >= 3, got {}",
+        unprintable(lambda: odd_rounds(-TOO_LONG), ParityError, "odd construction needs a positive odd n, got {}",
                     id="unprintable-odd-rounds-n"),
         unprintable(lambda: even_rounds(TOO_LONG), ParityError, "even construction needs n = 2 (mod 4), got {}",
                     id="unprintable-even-rounds-n"),
