@@ -4,8 +4,8 @@ Given any tournament on n vertices, :func:`build_dice` produces n dice
 with at most n+1 sides whose pairwise win probabilities reproduce the
 tournament exactly, every matchup decided at 1/2 + 1/(2k^2).  The layer
 underneath exposes the round/column edge partitions of K_n the
-construction is built on, and an exhaustive face-win oracle for exact
-verification.
+construction is built on, and an exact face-win count, independent of the
+construction, for verification.
 
 Importing the package loads none of its modules: the first read of a
 public name (or of ``dice``, ``factorization`` or ``tournament``) loads

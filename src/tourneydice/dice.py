@@ -1,4 +1,4 @@
-"""Dice sets realizing tournaments, plus the exhaustive face-win oracle.
+"""Dice sets realizing tournaments, plus the exact face-win count that checks them.
 
 The construction assigns the i-th face of every die a label from the i-th
 block of n consecutive integers, pairing dice within a column according to
@@ -11,10 +11,11 @@ so that single column decides the matchup.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from operator import itemgetter
 
 from ._value import _Value
@@ -99,11 +100,15 @@ class Matchup(namedtuple("Matchup", "wins_a wins_b probability")):
 def face_wins(a: Sequence[int], b: Sequence[int]) -> int:
     """Count ordered face pairs (x, y) with x from a, y from b, x > y.
 
-    Exhaustive enumeration on purpose: this is the verification oracle and
-    shares no code with the construction.
+    This is the Mann-Whitney U statistic: sum over the faces x of a of the
+    number of faces of b below x, found by one bisection of a sorted copy of
+    b, so O(k log k) comparisons for k-sided dice rather than k^2.  Each
+    argument is read once, so either may be a one-shot iterable.  It shares
+    no code with the construction; the tests hold it equal to an exhaustive
+    count of every face pair.
     """
-    b = tuple(b)  # read once, so a one-shot b is not used up by a's first face; a tuple comes back as it is
-    return len([0 for x in a for y in b if x > y])
+    b = sorted(b)
+    return sum(map(bisect_left, repeat(b), a))
 
 
 def matchup(a: Sequence[int], b: Sequence[int]) -> Matchup:

@@ -3,7 +3,8 @@
 Run ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines
 as they complete.  The constructed-set corpus (n = 1..25, transitive and
 almost-transitive plus 20 seeded random tournaments per n) is built once
-and shared; its win tables come from the exhaustive face-win oracle.
+and shared; its win tables come from the brute-force count in
+``tests/exhaustive.py``, and ``face_wins`` must equal them on every pair.
 """
 
 import time
@@ -29,6 +30,7 @@ from tourneydice import (
     verify_partition,
 )
 
+from exhaustive import exhaustive_wins
 from left_counts import left_count
 
 FIG1 = from_edges(3, [(1, 2), (2, 3), (3, 1)])
@@ -80,18 +82,31 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def win_tables(corpus):
-    """Oracle-computed face-win counts for every pair of every constructed set."""
+    """Brute-force face-win counts for every pair of every constructed set."""
     cases, _ = corpus
     tables = []
     for _, d in cases:
         wins = {}
         for i, j in combinations(range(1, d.n + 1), 2):
             wins[(i, j)] = (
-                face_wins(d.faces[i - 1], d.faces[j - 1]),
-                face_wins(d.faces[j - 1], d.faces[i - 1]),
+                exhaustive_wins(d.faces[i - 1], d.faces[j - 1]),
+                exhaustive_wins(d.faces[j - 1], d.faces[i - 1]),
             )
         tables.append(wins)
     return tables
+
+
+def test_face_wins_equals_the_exhaustive_count(corpus, win_tables):
+    # every ordered pair of every constructed set at n <= 25: the bisection count against the reference
+    cases, _ = corpus
+    failures = [
+        f"n={t.n} pair ({i},{j}): {got} != {(wi, wj)}"
+        for (t, d), wins in zip(cases, win_tables)
+        for (i, j), (wi, wj) in wins.items()
+        for got in [(face_wins(d.faces[i - 1], d.faces[j - 1]), face_wins(d.faces[j - 1], d.faces[i - 1]))]
+        if got != (wi, wj)
+    ]
+    assert not failures, failures[:5]
 
 
 def test_criterion_1_eq1_fixture():
@@ -169,7 +184,7 @@ def test_criterion_6_guaranteed_wins(corpus, win_tables):
                     f"n={t.n} pair ({i},{j}): split {winner_wins}/{loser_wins} of {k * k}"
                 )
     ok = not failures
-    _report(6, ok, "loser always takes (k^2-1)/2 face wins, by the exhaustive oracle")
+    _report(6, ok, "loser always takes (k^2-1)/2 face wins, by the exhaustive count")
     assert not failures, failures[:5]
 
 

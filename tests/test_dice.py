@@ -4,11 +4,11 @@ import csv
 import gc
 import hashlib
 import io
+import math
 import random
 import re
 import sys
 import tracemalloc
-from bisect import bisect_left
 from enum import IntEnum
 from fractions import Fraction
 from itertools import chain, combinations
@@ -51,6 +51,7 @@ from tourneydice.errors import (
     TieDetectedError,
 )
 
+from exhaustive import exhaustive_wins
 from left_counts import left_count
 
 EQ1 = dice_set([[1, 5, 9], [3, 4, 8], [2, 6, 7]])
@@ -78,7 +79,7 @@ class TestFaceWins:
         assert face_wins([1], [2]) == 0
 
     def test_one_shot_b_is_read_once(self):
-        # b is frozen before the sweep: a's first face does not use up an iterator b
+        # b is read once, into a sorted copy, so a's first face does not use up an iterator b
         assert face_wins([5, 6], iter([1, 2])) == 4
 
     @given(labels=st.sets(st.integers(1, 10**6), min_size=2, max_size=40))
@@ -89,15 +90,27 @@ class TestFaceWins:
         a, b = a[:k], b[:k]
         assert face_wins(a, b) + face_wins(b, a) == k * k
 
-    @given(a=st.lists(st.integers(-50, 50), max_size=30), b=st.lists(st.integers(-50, 50), max_size=30))
-    def test_equals_a_bisect_count(self, a, b):
-        # any int lists: empty, repeated and negative faces included
-        ordered = sorted(b)
-        assert face_wins(a, b) == sum(bisect_left(ordered, x) for x in a)
+    @settings(derandomize=True)
+    @given(
+        a=st.lists(st.integers(-50, 50), max_size=30),
+        b=st.lists(st.integers(-50, 50), max_size=30),
+        one_shot=st.booleans(),
+        subclass=st.booleans(),
+    )
+    def test_equals_the_exhaustive_count(self, a, b, one_shot, subclass):
+        # any int lists: empty, repeated and negative faces included, each maybe a one-shot iterator
+        # or of an int subclass; the brute-force count in tests/exhaustive.py is the reference
+        class Face(int):
+            pass
+
+        if subclass:
+            a, b = [Face(x) for x in a], [Face(x) for x in b]
+        expected = exhaustive_wins(a, b)
+        assert face_wins(iter(a) if one_shot else a, iter(b) if one_shot else b) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 13])
     def test_makes_every_comparison_once(self, n):
-        # exhaustive: one x > y per ordered face pair, which no sort-based count matches
+        # the reference is exhaustive: one x > y per ordered face pair, which no sort-based count matches
         calls = []
 
         class Face(int):
@@ -108,14 +121,36 @@ class TestFaceWins:
         d = build_dice(random_tournament(n, 3))
         for a, b in combinations([[Face(x) for x in die] for die in d.faces], 2):
             calls.clear()
-            face_wins(a, b)
+            exhaustive_wins(a, b)
             assert len(calls) == len(a) * len(b)
+
+    def test_comparisons_grow_as_k_log_k(self):
+        # k = 2001, the side count at cli.MAX_N = 2000, faces shuffled by a fixed seed: one sort of b and
+        # one bisection of it per face of a take 41,179 comparisons here; the exhaustive count takes k^2
+        calls = []
+
+        class Face(int):
+            def __lt__(self, other):
+                calls.append(1)
+                return int(self) < int(other)
+
+            def __gt__(self, other):
+                calls.append(1)
+                return int(self) > int(other)
+
+        k = 2001
+        labels = [Face(x) for x in range(1, 2 * k + 1)]
+        random.Random(1).shuffle(labels)
+        a, b = labels[:k], labels[k:]
+        wins, made = face_wins(a, b), len(calls)
+        assert made <= 2 * k * math.ceil(math.log2(k + 1)) + k  # 46,023; the exhaustive count makes 4,004,001
+        assert wins == exhaustive_wins(map(int, a), map(int, b))  # plain ints, so not counted
 
     @pytest.mark.parametrize("shift", [0, 10**6])
     def test_transient_memory_at_the_size_cap(self, shift):
-        # k = 2001, the side count at cli.MAX_N = 2000: the count is a list with one pointer
-        # per winning face pair, freed on return; peaks measured by tracemalloc on CPython 3.11:
-        # 17.1 MB (16.3 MiB) for the 2001000 wins of interleaved faces, 34.7 MB when a beats b outright
+        # k = 2001, the side count at cli.MAX_N = 2000: the count holds one sorted copy of b, k pointers,
+        # freed on return; tracemalloc peak on CPython 3.11 is 16.2 kB for interleaved faces and when a
+        # beats b outright alike
         k = 2001
         a, b = [x + shift for x in range(1, 2 * k, 2)], list(range(2, 2 * k + 1, 2))
         tracemalloc.start()
@@ -125,7 +160,7 @@ class TestFaceWins:
         finally:
             tracemalloc.stop()
         assert wins == (k * k if shift else k * (k - 1) // 2)
-        assert peak < 9 * wins  # 8 bytes a pointer, plus the list's over-allocation of at most 1/8
+        assert peak < 64 * k  # O(k), not O(wins)
 
 
 class TestMatchup:
